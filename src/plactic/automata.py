@@ -3,7 +3,7 @@
 Symbols and states are arbitrary hashable values; epsilon is represented by
 None.  Machines are immutable after construction and all operations here are
 pure.  `synchronize` turns a bounded-length-discrepancy rational relation
-into an automaton over padded letter pairs.
+into the minimal deterministic automaton over padded letter pairs.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ class Nfa:
         self.states = frozenset(states)
         self.initial = frozenset(initial)
         self.accepting = frozenset(accepting)
-        self.transitions = tuple(sorted(set(transitions), key=_skey))
+        # no particular order: the exports sort what they write
+        self.transitions = tuple(set(transitions))
         if not self.initial <= self.states or not self.accepting <= self.states:
             raise ValueError("initial/accepting states must be declared states")
         self._eps: dict[State, tuple[State, ...]] = {}
@@ -88,10 +89,6 @@ class Nfa:
             if not cur:
                 return False
         return bool(cur & self.accepting)
-
-
-def nfa_accepts(a: Nfa, w: Sequence[Symbol]) -> bool:
-    return a.accepts(w)
 
 
 def enumerate_accepted(a: Nfa, max_len: int) -> Iterator[tuple]:
@@ -207,6 +204,18 @@ def transducer_accepts_pair(t: Transducer, u: Sequence[Symbol], v: Sequence[Symb
     return False
 
 
+def _sweep(seeds, edges) -> set:
+    """The states reachable from seeds, given each state's successors."""
+    seen = set(seeds)
+    queue = deque(seeds)
+    while queue:
+        for nxt in edges.get(queue.popleft(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
 def trim(t: Transducer) -> Transducer:
     """Restrict to states both reachable and co-reachable."""
     fwd: dict[State, set[State]] = {}
@@ -214,20 +223,7 @@ def trim(t: Transducer) -> Transducer:
     for src, _, _, dst in t.transitions:
         fwd.setdefault(src, set()).add(dst)
         bwd.setdefault(dst, set()).add(src)
-
-    def sweep(seeds, edges):
-        seen = set(seeds)
-        queue = deque(seeds)
-        while queue:
-            for nxt in edges.get(queue.popleft(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return seen
-
-    reach = sweep(t.initial, fwd)
-    coreach = sweep(t.accepting, bwd)
-    keep = reach & coreach
+    keep = _sweep(t.initial, fwd) & _sweep(t.accepting, bwd)
     return Transducer(
         t.in_alphabet,
         t.out_alphabet,
@@ -376,10 +372,6 @@ class PairAutomaton:
         return self.nfa.accepts(enc)
 
 
-def pair_automaton_accepts(p: PairAutomaton, u: Sequence, v: Sequence) -> bool:
-    return p.accepts_pair(u, v)
-
-
 def _relation_samples(t: Transducer, max_arcs: int, cap: int) -> set[tuple[tuple, tuple]]:
     """Pairs of the relation realized by accepting paths of <= max_arcs arcs."""
     pairs: set[tuple[tuple, tuple]] = set()
@@ -402,27 +394,129 @@ def _relation_samples(t: Transducer, max_arcs: int, cap: int) -> set[tuple[tuple
     return pairs
 
 
+def _output_prefixes(t: Transducer, bound: int) -> dict[State, set[tuple]]:
+    """For each state of t, the words of length <= bound that the output of
+    some path from that state begins with (a prefix-closed set)."""
+    preds: dict[State, list[tuple[State, tuple]]] = {}
+    for src, _, out, dst in t.transitions:
+        preds.setdefault(dst, []).append((src, out))
+    prefixes = {q: {()} for q in t.states}
+    queue = deque(t.states)
+    queued = set(t.states)
+    while queue:
+        dst = queue.popleft()
+        queued.discard(dst)
+        for src, out in preds.get(dst, ()):
+            grown = {out[:k] for k in range(min(len(out), bound) + 1)}
+            grown.update((out + w)[:bound] for w in prefixes[dst])
+            if not grown <= prefixes[src]:
+                prefixes[src] |= grown
+                if src not in queued:
+                    queued.add(src)
+                    queue.append(src)
+    return prefixes
+
+
+def _minimal_dfa(a: Nfa) -> Nfa:
+    """The trim minimal DFA of a's language, as an Nfa with states 0..n-1.
+
+    Restricts a to its co-reachable states, determinizes by subset
+    construction and merges equivalent subsets by Moore refinement (a missing
+    arc leads to the implicit dead state).  States are numbered breadth-first
+    from the initial state 0 over the repr-sorted alphabet, so equal languages
+    give equal machines.
+    """
+    letters = sorted(a.alphabet, key=_skey)
+    back: dict[State, list[State]] = {}
+    for src, _, dst in a.transitions:
+        back.setdefault(dst, []).append(src)
+    live = _sweep(a.accepting, back)
+    trimmed = Nfa(
+        a.alphabet,
+        live,
+        a.initial & live,
+        a.accepting,
+        [tr for tr in a.transitions if tr[0] in live and tr[2] in live],
+    )
+    # subset construction: subsets[i] is the frontier of DFA state i (an
+    # empty language leaves the one empty frontier, a lone rejecting state)
+    start = trimmed.start_set()
+    subsets = [start]
+    index = {start: 0}
+    delta: list[dict[Symbol, int]] = []
+    for frontier in subsets:
+        row = {}
+        for sym in letters:
+            nxt = trimmed.move(frontier, sym)
+            if nxt:
+                if nxt not in index:
+                    index[nxt] = len(subsets)
+                    subsets.append(nxt)
+                row[sym] = index[nxt]
+        delta.append(row)
+
+    # Moore refinement, from the accepting / non-accepting split
+    final = [bool(frontier & trimmed.accepting) for frontier in subsets]
+    block = [int(f) for f in final]
+    count = len(set(block))
+    while True:
+        ids: dict[tuple, int] = {}
+        refined = []
+        for i, row in enumerate(delta):
+            signature = (block[i],) + tuple(block[row[s]] if s in row else -1 for s in letters)
+            refined.append(ids.setdefault(signature, len(ids)))
+        if len(ids) == count:
+            break
+        block, count = refined, len(ids)
+
+    # one subset stands for each block; number the blocks breadth-first
+    rep = {}
+    for i, b in enumerate(block):
+        rep.setdefault(b, i)
+    number = {block[0]: 0}
+    order = [block[0]]
+    transitions = []
+    for b in order:
+        row = delta[rep[b]]
+        for sym in letters:
+            if sym in row:
+                c = block[row[sym]]
+                if c not in number:
+                    number[c] = len(number)
+                    order.append(c)
+                transitions.append((number[b], sym, number[c]))
+    accepting = {number[b] for b in order if final[rep[b]]}
+    return Nfa(a.alphabet, range(len(number)), {0}, accepting, transitions)
+
+
 def synchronize(
     t: Transducer,
     direction: str,
     max_delay: int,
     state_limit: int = 10**6,
 ) -> PairAutomaton:
-    """Letter-to-letter automaton accepting the padded encodings of t's relation.
+    """Minimal DFA accepting the padded encodings of t's relation.
 
     Simulates t against the pair string with a buffer of emitted-but-unmatched
-    (or awaited) output symbols; configurations whose buffer would exceed
-    `max_delay` are dropped.  When drops occurred, short relation pairs
-    enumerated straight from t's transition graph are re-checked against the
-    result and any miss raises DelayExceeded (the bound was genuinely too
-    small).  Construction aborts with ResourceLimit past `state_limit`
-    configurations.
+    (or awaited) output symbols.  A configuration is dropped when its awaited
+    queue is not a prefix of any output its t-state can still emit: it can
+    never empty the queue, so this drop is sound by construction.  A
+    configuration whose buffer would exceed `max_delay` is dropped too; when
+    such drops occurred, short relation pairs enumerated straight from t's
+    transition graph are re-checked against the result and any miss raises
+    DelayExceeded (the bound was genuinely too small).  Construction aborts
+    with ResourceLimit past `state_limit` configurations.
+
+    The configuration graph is then trimmed, determinized and minimized, so
+    the result has one initial state, no epsilon arcs, at most one arc per
+    (state, letter), only useful states, and a canonical numbering.
     """
     if direction not in ("R", "L"):
         raise ValueError(f"direction must be 'R' or 'L', got {direction!r}")
     t = trim(t)
     base = sorted(t.in_alphabet | t.out_alphabet, key=_skey)
     letters = [(x, y) for x in base + [PAD] for y in base + [PAD] if (x, y) != (PAD, PAD)]
+    can_emit = _output_prefixes(t, max_delay)
 
     pruned = 0
 
@@ -457,6 +551,8 @@ def synchronize(
         if len(nxt[1]) > max_delay or len(nxt[2]) > max_delay:
             pruned += 1
             return
+        if nxt[2] not in can_emit[nxt[0]]:
+            return  # t can never emit the awaited queue: no accepting run
         transitions.append((cfg, label, nxt))
         if nxt not in seen:
             if len(seen) >= state_limit:
@@ -526,7 +622,7 @@ def synchronize(
                     if buf is not None:
                         store(cfg, (x, y), (dst, buf[0], buf[1], nfl, nfr))
 
-    nfa = Nfa(set(letters), seen, set(init), accepting, transitions)
+    nfa = _minimal_dfa(Nfa(letters, seen, init, accepting, transitions))
     result = PairAutomaton(nfa, direction)
     if pruned:
         # cheap soundness probe: short pairs read off the transition graph

@@ -25,7 +25,12 @@ from plactic.errors import NotInL, ParseError, PlacticError, RankError
 
 def _env_int(name: str, default: int) -> int:
     value = os.environ.get(name)
-    return int(value) if value else default
+    if not value:
+        return default
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"{name} must be an integer, got {value!r}") from None
 
 
 def cmd_tableau(args) -> int:
@@ -105,7 +110,13 @@ def cmd_gsb(args) -> int:
 
 def cmd_machines(args) -> int:
     rank = args.rank
-    gamma = None if args.gamma in ("e", "eps", "") else parse_word(args.gamma, rank)[0]
+    if args.gamma in ("e", "eps", ""):
+        gamma = None
+    else:
+        letters = parse_word(args.gamma, rank)
+        if len(letters) != 1:
+            raise ParseError(f"generator must be a single letter or 'eps', got {args.gamma!r}")
+        gamma = letters[0]
     exports: list[tuple[str, str]] = []
 
     def render_t(name, machine):
@@ -144,6 +155,8 @@ def cmd_machines(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_len < 0:
+        raise ParseError(f"--max-len must be non-negative, got {args.max_len}")
     cfg = verify.Config(
         rank=args.rank,
         max_len=args.max_len,
@@ -231,9 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         check_rank(args.rank)
         return args.fn(args)
     except (ParseError, RankError, NotInL) as exc:

@@ -321,18 +321,22 @@ def verify_multipliers(cfg: Config) -> Report:
         rep.check("rank-4 spot: column multipliers", 8 * len(spot), bad)
 
         lspot = [t.column_reading() for t in iter_tableaux(4, 4)]
-        machines = multipliers.multiplier_pair_automata(4, 1, state_limit=cfg.state_limit)
         bad = []
-        for (side, direction), pa in machines.items():
-            expected = {
-                u: tableau_of_word(u + (1,) if side == "right" else (1,) + u).column_reading()
-                for u in lspot
-            }
-            for u in lspot:
-                for v in lspot:
-                    if pa.accepts_pair(u, v) != (v == expected[u]):
-                        bad.append((side, direction, u, v))
-        rep.check("rank-4 spot: pair automata", 4 * len(lspot) ** 2, bad)
+        count = 0
+        for gamma in [None] + list(range(1, 5)):
+            machines = multipliers.multiplier_pair_automata(4, gamma, state_limit=cfg.state_limit)
+            g = (gamma,) if gamma else ()
+            for (side, direction), pa in machines.items():
+                expected = {
+                    u: tableau_of_word(u + g if side == "right" else g + u).column_reading()
+                    for u in lspot
+                }
+                for u in lspot:
+                    for v in lspot:
+                        count += 1
+                        if pa.accepts_pair(u, v) != (v == expected[u]):
+                            bad.append((side, direction, gamma, u, v))
+        rep.check("rank-4 spot: pair automata", count, bad)
     return rep
 
 

@@ -83,3 +83,57 @@ def all_words(rank, max_len):
         frontier = [w + (a,) for w in frontier for a in range(1, rank + 1)]
         words.extend(frontier)
     return words
+
+
+def dfa_contract_violations(nfa):
+    """Ways in which `nfa` fails to be a trim minimal DFA (empty when it is one).
+
+    Checks: one initial state, no epsilon arcs, at most one arc per (state,
+    letter), every state reachable and co-reachable, and Moore refinement run
+    to its fixed point (the pass that splits no block) leaves every state in a
+    block of its own.
+    """
+    problems = []
+    if len(nfa.initial) != 1:
+        problems.append(f"{len(nfa.initial)} initial states")
+    succ = {}
+    for src, sym, dst in nfa.transitions:
+        if sym is None:
+            problems.append(f"epsilon arc {src!r} -> {dst!r}")
+        elif succ.setdefault((src, sym), dst) != dst:
+            problems.append(f"two arcs from {src!r} on {sym!r}")
+    fwd, bwd = {}, {}
+    for (src, _), dst in succ.items():
+        fwd.setdefault(src, set()).add(dst)
+        bwd.setdefault(dst, set()).add(src)
+
+    def sweep(seeds, edges):
+        seen, todo = set(seeds), list(seeds)
+        while todo:
+            for nxt in edges.get(todo.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        return seen
+
+    if sweep(nfa.initial, fwd) != set(nfa.states):
+        problems.append("unreachable states")
+    if sweep(nfa.accepting, bwd) != set(nfa.states):
+        problems.append("states that cannot reach acceptance")
+
+    letters = sorted(nfa.alphabet, key=repr)
+    block = {q: int(q in nfa.accepting) for q in nfa.states}
+    while True:
+        ids = {}
+        refined = {
+            q: ids.setdefault(
+                (block[q],) + tuple(block.get(succ.get((q, a)), -1) for a in letters), len(ids)
+            )
+            for q in nfa.states
+        }
+        if len(ids) == len(set(block.values())):
+            break
+        block = refined
+    if len(set(block.values())) != len(nfa.states):
+        problems.append(f"{len(nfa.states)} states but {len(set(block.values()))} Moore classes")
+    return problems

@@ -12,9 +12,7 @@ from plactic.automata import (
     delta_l,
     delta_r,
     enumerate_accepted,
-    nfa_accepts,
     nfa_to_json,
-    pair_automaton_accepts,
     rational_image,
     reverse_relation,
     synchronize,
@@ -24,6 +22,8 @@ from plactic.automata import (
     trim,
 )
 from plactic.errors import DelayExceeded, ResourceLimit
+
+import oracles
 
 ABC = ("a", "b", "c")
 
@@ -75,11 +75,11 @@ def test_encoder_duality_random(u, v):
 
 def test_nfa_accepts():
     loop = Nfa({"a"}, {0}, {0}, {0}, [(0, "a", 0)])
-    assert nfa_accepts(loop, ("a", "a", "a"))
-    assert nfa_accepts(loop, ())
+    assert loop.accepts(("a", "a", "a"))
+    assert loop.accepts(())
     empty = Nfa({"a"}, {0}, {0}, set(), [])
-    assert not nfa_accepts(empty, ())
-    assert not nfa_accepts(empty, ("a",))
+    assert not empty.accepts(())
+    assert not empty.accepts(("a",))
 
 
 def test_nfa_rejects_undeclared_symbol():
@@ -171,9 +171,9 @@ def test_synchronize_append():
         pa = synchronize(t, direction, 2)
         for k in range(4):
             u = ("a",) * k
-            assert pair_automaton_accepts(pa, u, u + ("a",))
-            assert not pair_automaton_accepts(pa, u, u)
-            assert not pair_automaton_accepts(pa, u + ("a",), u)
+            assert pa.accepts_pair(u, u + ("a",))
+            assert not pa.accepts_pair(u, u)
+            assert not pa.accepts_pair(u + ("a",), u)
 
 
 def test_synchronize_matches_outputs():
@@ -185,6 +185,32 @@ def test_synchronize_matches_outputs():
             expected = transducer_outputs(t, u)
             for v in words:
                 assert pa.accepts_pair(u, v) == (v in expected)
+
+
+def test_synchronize_returns_trim_minimal_dfa():
+    machines = [copy_machine(("a",)), copy_machine(), append_machine(), append_machine(sigma=("a", "b"))]
+    for t in machines:
+        for direction in "RL":
+            assert oracles.dfa_contract_violations(synchronize(t, direction, 3).nfa) == []
+
+
+def test_dfa_contract_oracle_flags_defects():
+    # the checker itself must see each defect it is meant to catch
+    two_starts = Nfa({"a"}, {0, 1}, {0, 1}, {1}, [(0, "a", 1)])
+    assert "2 initial states" in oracles.dfa_contract_violations(two_starts)
+    branching = Nfa({"a"}, {0, 1, 2}, {0}, {1, 2}, [(0, "a", 1), (0, "a", 2)])
+    assert "two arcs from 0 on 'a'" in oracles.dfa_contract_violations(branching)
+    dead_end = Nfa({"a"}, {0, 1}, {0}, {0}, [(0, "a", 1)])
+    assert "states that cannot reach acceptance" in oracles.dfa_contract_violations(dead_end)
+    redundant = Nfa({"a"}, {0, 1}, {0}, {0, 1}, [(0, "a", 1), (1, "a", 0)])
+    assert "2 states but 1 Moore classes" in oracles.dfa_contract_violations(redundant)
+
+
+def test_synchronize_empty_relation():
+    empty = Transducer(ABC, ABC, {0, 1}, {0}, {1}, [])
+    pa = synchronize(empty, "R", 2)
+    assert len(pa.nfa.states) == 1 and not pa.nfa.accepting
+    assert not pa.accepts_pair((), ())
 
 
 def test_delay_exceeded():

@@ -158,3 +158,30 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["tableau"])  # missing --rank and word
     assert exc.value.code == 2
+
+
+def assert_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["PLACTIC_MAX_STATES", "PLACTIC_MAX_CLASS", "PLACTIC_PAIR_BUDGET"])
+def test_non_integer_environment_limit(capsys, monkeypatch, name):
+    monkeypatch.setenv(name, "abc")
+    code, out, err = run(capsys, "verify", "--rank", "1", "--max-len", "1", "core")
+    assert_usage_error(code, out, err)
+    assert name in err
+
+
+def test_machines_rejects_multi_letter_generator(capsys):
+    code, out, err = run(capsys, "machines", "--rank", "3", "--gamma", "12")
+    assert_usage_error(code, out, err)
+    assert "single letter" in err
+
+
+def test_verify_rejects_negative_max_len(capsys):
+    code, out, err = run(capsys, "verify", "--max-len", "-1", "core")
+    assert_usage_error(code, out, err)
+    assert "--max-len" in err

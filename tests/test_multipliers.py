@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from plactic.automata import (
     compose_relations,
@@ -19,6 +23,18 @@ from plactic.multipliers import (
     right_multiplier,
 )
 from plactic.rewriting import generate_rules, is_normal_form, normalize
+
+import oracles
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+KEYS = (("left", "L"), ("left", "R"), ("right", "L"), ("right", "R"))
+
+# states of the minimal pair DFAs, keyed like KEYS; a minimal DFA is unique,
+# so these counts fingerprint each language
+MINIMAL_STATES = {
+    3: {None: (12, 12, 12, 12), 1: (13, 13, 19, 23), 2: (15, 16, 15, 16), 3: (17, 17, 13, 13)},
+    4: {1: (33, 33, 58, 70)},
+}
 
 
 def k_words(rank, max_cells):
@@ -243,3 +259,30 @@ def test_rank4_multipliers_sampled():
         for u in sample:
             assert transducer_outputs(rm, u) == {normalize(u + ((gamma,),), rs)}
             assert transducer_outputs(lm, u) == {normalize(((gamma,),) + u, rs)}
+
+
+def test_pair_automata_are_minimal_dfas():
+    for rank, by_gamma in MINIMAL_STATES.items():
+        for gamma, counts in by_gamma.items():
+            machines = multiplier_pair_automata(rank, gamma)
+            assert tuple(len(machines[k].nfa.states) for k in KEYS) == counts
+            for key in KEYS:
+                assert oracles.dfa_contract_violations(machines[key].nfa) == [], (rank, gamma, key)
+
+
+def test_machines_export_ignores_hash_seed(tmp_path):
+    # exports sort at write time; nothing may depend on set or dict order
+    env_path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        subprocess.run(
+            [sys.executable, "-m", "plactic", "machines", "--rank", "3", "--gamma", "2",
+             "--format", "json", "--out", str(out)],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": env_path},
+            check=True,
+            capture_output=True,
+        )
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(outputs[0]) == 8
+    assert outputs[0] == outputs[1]
