@@ -9,7 +9,8 @@ into the minimal deterministic automaton over padded letter pairs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Hashable, Iterator, Sequence
 
 from plactic.errors import DelayExceeded, ResourceLimit
@@ -336,40 +337,71 @@ def rational_image(t: Transducer, m: Nfa) -> Nfa:
 # -- padded pair encodings ----------------------------------------------
 
 
+def padded(u: Sequence, v: Sequence, direction: str) -> Iterator[tuple]:
+    """The letter pairs of (u, v) under padding direction "R" or "L", lazily.
+
+    R: letters pair up from the left and the shorter word is padded with $
+    at its end.  L: the words align at their right ends and the shorter one
+    is padded with $ at its start.
+    """
+    if direction == "R":
+        return zip_longest(u, v, fillvalue=PAD)
+    d = len(u) - len(v)
+    return zip((PAD,) * -d + tuple(u), (PAD,) * d + tuple(v))
+
+
 def delta_r(u: Sequence, v: Sequence) -> tuple:
-    """Right-padded convolution: letters pair up from the left, the shorter
-    word is padded with $ at its end."""
-    lu, lv = len(u), len(v)
-    if lu == lv:
-        return tuple(zip(u, v))
-    if lu > lv:
-        return tuple(zip(u, v)) + tuple((x, PAD) for x in u[lv:])
-    return tuple(zip(u, v)) + tuple((PAD, y) for y in v[lu:])
+    """Right-padded convolution, as a tuple of letter pairs."""
+    return tuple(padded(u, v, "R"))
 
 
 def delta_l(u: Sequence, v: Sequence) -> tuple:
-    """Left-padded convolution: words align at their right ends and the
-    shorter one is padded with $ at its start."""
-    lu, lv = len(u), len(v)
-    if lu == lv:
-        return tuple(zip(u, v))
-    if lu > lv:
-        d = lu - lv
-        return tuple((x, PAD) for x in u[:d]) + tuple(zip(u[d:], v))
-    d = lv - lu
-    return tuple((PAD, y) for y in v[:d]) + tuple(zip(u, v[d:]))
+    """Left-padded convolution, as a tuple of letter pairs."""
+    return tuple(padded(u, v, "L"))
 
 
 @dataclass(frozen=True)
 class PairAutomaton:
-    """An NFA over padded letter pairs, tagged with its encoding direction."""
+    """A DFA over padded letter pairs, tagged with its encoding direction.
+
+    `nfa` holds the DFA in the general `Nfa` form, with states 0..n-1, the
+    one initial state 0, no epsilon arcs and at most one arc per (state,
+    letter); construction raises ValueError otherwise.  `accepts_pair` walks
+    a successor table built here, once.
+    """
 
     nfa: Nfa
     direction: str  # "R" or "L"
+    _succ: tuple = field(init=False, repr=False, compare=False)
+    _final: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        a = self.nfa
+        if self.direction not in ("R", "L"):
+            raise ValueError(f"direction must be 'R' or 'L', got {self.direction!r}")
+        if a.initial != {0}:
+            starts = sorted(a.initial, key=_skey)
+            raise ValueError(f"a pair DFA starts at state 0 alone, not at {starts!r}")
+        n = len(a.states)
+        if a.states != frozenset(range(n)):
+            raise ValueError(f"pair DFA states must be 0..{n - 1}")
+        succ: list[dict[Symbol, int]] = [{} for _ in range(n)]
+        for src, sym, dst in a.transitions:
+            if sym is None:
+                raise ValueError(f"epsilon arc {src!r} -> {dst!r} in a pair DFA")
+            if succ[src].setdefault(sym, dst) != dst:
+                raise ValueError(f"two arcs from {src!r} on {sym!r} in a pair DFA")
+        object.__setattr__(self, "_succ", tuple(succ))
+        object.__setattr__(self, "_final", tuple(q in a.accepting for q in range(n)))
 
     def accepts_pair(self, u: Sequence, v: Sequence) -> bool:
-        enc = delta_r(u, v) if self.direction == "R" else delta_l(u, v)
-        return self.nfa.accepts(enc)
+        succ = self._succ
+        state = 0
+        for letter in padded(u, v, self.direction):
+            state = succ[state].get(letter)
+            if state is None:
+                return False
+        return self._final[state]
 
 
 def _relation_samples(t: Transducer, max_arcs: int, cap: int) -> set[tuple[tuple, tuple]]:
@@ -628,9 +660,8 @@ def synchronize(
         # cheap soundness probe: short pairs read off the transition graph
         # must survive; subtle losses on longer pairs are the exhaustive
         # verification suites' job to catch
-        encode = delta_r if direction == "R" else delta_l
         for u, v in sorted(_relation_samples(t, max_arcs=6, cap=4000), key=_skey):
-            if not nfa.accepts(encode(u, v)):
+            if not result.accepts_pair(u, v):
                 raise DelayExceeded(
                     f"pair {(u, v)!r} lost at max_delay={max_delay} (direction {direction})"
                 )

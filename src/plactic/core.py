@@ -99,10 +99,6 @@ class Tableau:
             raise ParseError(f"columns do not form a tableau: {columns!r}")
         return t
 
-    @classmethod
-    def from_word(cls, word: Sequence[int]) -> "Tableau":
-        return cls(word_tableau(tuple(word)))
-
     def is_valid(self) -> bool:
         cols = self.columns
         if not all(c and is_column(c) for c in cols):

@@ -42,17 +42,13 @@ def column_key(c: Column):
     return (-len(c), c)
 
 
-def symbol_less(a: Column, b: Column) -> bool:
-    return column_key(a) < column_key(b)
-
-
 def word_less(u: CWord, v: CWord) -> bool:
     """Length-first word order induced by the generator order; a well-order."""
     if len(u) != len(v):
         return len(u) < len(v)
     for a, b in zip(u, v):
         if a != b:
-            return symbol_less(a, b)
+            return column_key(a) < column_key(b)
     return False
 
 
@@ -226,10 +222,6 @@ def decode_word(v: CWord) -> Word:
 # -- text / JSON forms --------------------------------------------------
 
 
-def format_column(c: Column, rank: int) -> str:
-    return format_word(c, rank)
-
-
 def parse_cword(text: str, rank: int) -> CWord:
     """Parse `c:`-prefixed column words: c:21,1 (dots separate letters when
     the rank needs multi-digit letters, e.g. c:10.2,1)."""
@@ -268,8 +260,8 @@ def rules_json(system: RewritingSystem) -> dict:
         "rank": system.rank,
         "rules": [
             {
-                "lhs": [format_column(c, system.rank) for c in lhs],
-                "rhs": [format_column(c, system.rank) for c in rhs],
+                "lhs": [format_word(c, system.rank) for c in lhs],
+                "rhs": [format_word(c, system.rank) for c in rhs],
             }
             for lhs, rhs in system.sorted_rules()
         ],
@@ -279,8 +271,8 @@ def rules_json(system: RewritingSystem) -> dict:
 def rules_text(system: RewritingSystem) -> str:
     lines = [f"rank: {system.rank}"]
     for lhs, rhs in system.sorted_rules():
-        left = " ".join(f"c[{format_column(c, system.rank)}]" for c in lhs)
-        right = " ".join(f"c[{format_column(c, system.rank)}]" for c in rhs)
+        left = " ".join(f"c[{format_word(c, system.rank)}]" for c in lhs)
+        right = " ".join(f"c[{format_word(c, system.rank)}]" for c in rhs)
         lines.append(f"{left} -> {right}")
     return "\n".join(lines) + "\n"
 
@@ -288,7 +280,7 @@ def rules_text(system: RewritingSystem) -> str:
 def _monomial(word: CWord, rank: int) -> str:
     if not word:
         return "1"
-    return "*".join(f"c[{format_column(c, rank)}]" for c in word)
+    return "*".join(f"c[{format_word(c, rank)}]" for c in word)
 
 
 def gsb_text(basis: GsbBasis) -> str:
@@ -302,11 +294,11 @@ def gsb_json(basis: GsbBasis) -> dict:
     return {
         "rank": basis.rank,
         "order": basis.order,
-        "generators": [format_column(c, basis.rank) for c in basis.generators],
+        "generators": [format_word(c, basis.rank) for c in basis.generators],
         "binomials": [
             {
-                "leading": [format_column(c, basis.rank) for c in el.leading],
-                "trailing": [format_column(c, basis.rank) for c in el.trailing],
+                "leading": [format_word(c, basis.rank) for c in el.leading],
+                "trailing": [format_word(c, basis.rank) for c in el.trailing],
                 "leading_coeff": el.leading_coeff,
                 "trailing_coeff": el.trailing_coeff,
             }

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from plactic.automata import (
     PAD,
     Nfa,
+    PairAutomaton,
     Transducer,
     compose_relations,
     delta_l,
@@ -204,6 +205,43 @@ def test_dfa_contract_oracle_flags_defects():
     assert "states that cannot reach acceptance" in oracles.dfa_contract_violations(dead_end)
     redundant = Nfa({"a"}, {0, 1}, {0}, {0, 1}, [(0, "a", 1), (1, "a", 0)])
     assert "2 states but 1 Moore classes" in oracles.dfa_contract_violations(redundant)
+
+
+def test_pair_automaton_guard():
+    aa = ("a", "a")
+    dfa = Nfa({aa}, {0, 1}, {0}, {1}, [(0, aa, 1)])
+    pa = PairAutomaton(dfa, "R")
+    assert pa.accepts_pair(("a",), ("a",))
+    assert not pa.accepts_pair((), ())
+    assert not pa.accepts_pair(("a",), ("b",))
+    malformed = [
+        (Nfa({aa}, {0, 1}, {1}, {0}, [(1, aa, 0)]), "starts at state 0 alone"),
+        (Nfa({aa}, {0, 1}, {0, 1}, {1}, [(0, aa, 1)]), "starts at state 0 alone"),
+        (Nfa({aa}, {0, 2}, {0}, {2}, [(0, aa, 2)]), r"states must be 0\.\.1"),
+        (Nfa({aa}, {0, "q"}, {0}, {"q"}, [(0, aa, "q")]), r"states must be 0\.\.1"),
+        (Nfa({aa}, {0, 1}, {0}, {1}, [(0, None, 1)]), "epsilon arc"),
+        (Nfa({aa}, {0, 1, 2}, {0}, {1, 2}, [(0, aa, 1), (0, aa, 2)]), "two arcs from 0"),
+    ]
+    for nfa, message in malformed:
+        with pytest.raises(ValueError, match=message):
+            PairAutomaton(nfa, "R")
+    with pytest.raises(ValueError, match="direction"):
+        PairAutomaton(dfa, "X")
+
+
+def test_accepts_pair_matches_general_nfa_path():
+    # the table walk against Nfa.accepts on the tuple encoding; the words
+    # include letters outside some machines' alphabets and unequal lengths
+    words = words_over(ABC, 3)
+    machines = [
+        copy_machine(("a",)), copy_machine(), append_machine(), append_machine(sigma=("a", "b")),
+    ]
+    for t in machines:
+        for direction, encode in (("R", delta_r), ("L", delta_l)):
+            pa = synchronize(t, direction, 3)
+            for u in words:
+                for v in words:
+                    assert pa.accepts_pair(u, v) == pa.nfa.accepts(encode(u, v)), (direction, u, v)
 
 
 def test_synchronize_empty_relation():

@@ -6,6 +6,8 @@ from pathlib import Path
 
 from plactic.automata import (
     compose_relations,
+    delta_l,
+    delta_r,
     enumerate_accepted,
     transducer_accepts_pair,
     transducer_outputs,
@@ -199,6 +201,24 @@ def test_pair_automata_exhaustive_rank2():
             for u in words:
                 for v in words:
                     assert pa.accepts_pair(u, v) == (v == expected[u])
+
+
+def test_accepts_pair_matches_general_nfa_path():
+    # the table walk against Nfa.accepts on the tuple encoding, for all 16
+    # rank-3 machines, on every pair of L-words of <= 5 cells and each true
+    # product (one letter longer)
+    words = l_words(3, 5)
+    for gamma in (None, 1, 2, 3):
+        g = (gamma,) if gamma else ()
+        for (side, direction), pa in multiplier_pair_automata(3, gamma).items():
+            encode = delta_r if direction == "R" else delta_l
+            for u in words:
+                product = tableau_of_word(u + g if side == "right" else g + u).column_reading()
+                assert pa.accepts_pair(u, product)
+                for v in words + [product]:
+                    assert pa.accepts_pair(u, v) == pa.nfa.accepts(encode(u, v)), (
+                        gamma, side, direction, u, v,
+                    )
 
 
 def test_epsilon_pair_automata_are_identity_on_l():
