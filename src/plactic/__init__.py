@@ -9,7 +9,6 @@ exhaustive enumeration at small rank.
 from plactic.core import (
     Tableau,
     column_ge,
-    column_reading,
     dominates,
     insert,
     is_column,
@@ -18,19 +17,18 @@ from plactic.core import (
     knuth_relations,
     lds,
     lnds,
-    row_reading,
     tableau_of_word,
 )
 from plactic.errors import (
     DelayExceeded,
     NotInL,
+    OutputError,
     ParseError,
     PlacticError,
     RankError,
     ResourceLimit,
     ViolationFound,
 )
-from plactic.kernel import BACKEND as KERNEL_BACKEND
 from plactic.rewriting import (
     GsbBasis,
     RewritingSystem,

@@ -139,9 +139,6 @@ class Transducer:
     def arcs_from(self, state: State):
         return self._by_state.get(state, ())
 
-    def max_output_len(self) -> int:
-        return max((len(out) for _, _, out, _ in self.transitions), default=0)
-
 
 def transducer_outputs(t: Transducer, u: Sequence[Symbol], bound: int = 10**6) -> set[tuple]:
     """All outputs paired with input u, by bounded configuration search.

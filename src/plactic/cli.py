@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure or cross-check mismatch,
-2 usage or parse errors.  All exports are byte-deterministic for a fixed
-set of flags.
+2 usage, parse or output-path errors.  All exports are byte-deterministic
+for a fixed set of flags.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from plactic import automata, multipliers, rewriting, verify
@@ -20,7 +21,7 @@ from plactic.core import (
     parse_word,
     tableau_of_word,
 )
-from plactic.errors import NotInL, ParseError, PlacticError, RankError
+from plactic.errors import NotInL, OutputError, ParseError, PlacticError, RankError
 
 
 def _env_int(name: str, default: int) -> int:
@@ -44,11 +45,11 @@ def cmd_tableau(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    rs = rewriting.generate_rules(args.rank, args.pair_budget)
     if args.word.startswith("c:"):
         cword = rewriting.parse_cword(args.word, args.rank)
     else:
         cword = rewriting.encode_word(parse_word(args.word, args.rank))
+    rs = rewriting.generate_rules(args.rank, args.pair_budget)
     nf = rewriting.normalize(cword, rs)
     print(rewriting.format_cword(nf, args.rank))
     print(format_word(rewriting.decode_word(nf), args.rank))
@@ -83,9 +84,19 @@ def cmd_multiply(args) -> int:
     return 0
 
 
+@contextmanager
+def _writing(path):
+    """Turn a failed write under `path` into an OutputError."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(args, text: str) -> None:
     if args.out:
-        Path(args.out).write_text(text)
+        with _writing(args.out):
+            Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -143,9 +154,10 @@ def cmd_machines(args) -> int:
 
     if args.out:
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for fname, text in exports:
-            (outdir / fname).write_text(text)
+        with _writing(outdir):
+            outdir.mkdir(parents=True, exist_ok=True)
+            for fname, text in exports:
+                (outdir / fname).write_text(text)
         print(f"wrote {len(exports)} files to {outdir}")
     else:
         for fname, text in exports:
@@ -248,7 +260,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         check_rank(args.rank)
         return args.fn(args)
-    except (ParseError, RankError, NotInL) as exc:
+    except (ParseError, RankError, NotInL, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PlacticError as exc:

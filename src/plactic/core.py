@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from plactic.errors import ParseError, RankError, ResourceLimit
-from plactic.kernel import insert_letter, insert_letter_trace, word_tableau
 
 Word = tuple[int, ...]
 Column = tuple[int, ...]
@@ -150,27 +149,70 @@ class Tableau:
         return cls.from_columns([parse_word(c, rank) for c in data["columns"]])
 
 
+def _insert(cols, g, trace):
+    """Insert g into the column lists `cols` in place (row m counts from the
+    bottom); each step's (row, column-index) site goes to `trace` if given."""
+    m = 1
+    eta = g
+    ncols = len(cols)
+    while True:
+        # columns reaching row m form a prefix
+        r = 0
+        while r < ncols and len(cols[r]) >= m:
+            r += 1
+        # leftmost column whose row-m entry exceeds eta
+        j = -1
+        for i in range(r):
+            col = cols[i]
+            if col[len(col) - m] > eta:
+                j = i
+                break
+        if j < 0:
+            # append eta at the end of row m
+            if r == ncols:
+                if m != 1:
+                    raise AssertionError("new column can only start at row 1")
+                cols.append([eta])
+            else:
+                col = cols[r]
+                if len(col) != m - 1:
+                    raise AssertionError("append site must have height m-1")
+                if col and eta <= col[0]:
+                    raise AssertionError("column must stay strictly decreasing")
+                col.insert(0, eta)
+            if trace is not None:
+                trace.append((m, r))
+            return
+        col = cols[j]
+        k = len(col) - m
+        bumped = col[k]
+        col[k] = eta
+        if trace is not None:
+            trace.append((m, j))
+        eta = bumped
+        m += 1
+
+
 def insert(t: Tableau, g: int) -> Tableau:
     """Schensted insertion of one letter."""
-    return Tableau(insert_letter(t.columns, g))
+    cols = [list(c) for c in t.columns]
+    _insert(cols, g, None)
+    return Tableau(tuple(tuple(c) for c in cols))
 
 
 def insert_with_trace(t: Tableau, g: int) -> tuple[Tableau, tuple[tuple[int, int], ...]]:
     """Insertion plus the (row, column-index) landing site of every step."""
-    cols, trace = insert_letter_trace(t.columns, g)
-    return Tableau(cols), trace
+    cols = [list(c) for c in t.columns]
+    trace: list[tuple[int, int]] = []
+    _insert(cols, g, trace)
+    return Tableau(tuple(tuple(c) for c in cols)), tuple(trace)
 
 
 def tableau_of_word(w: Sequence[int]) -> Tableau:
-    return Tableau(word_tableau(tuple(w)))
-
-
-def column_reading(t: Tableau) -> Word:
-    return t.column_reading()
-
-
-def row_reading(t: Tableau) -> Word:
-    return t.row_reading()
+    cols: list[list[int]] = []
+    for g in w:
+        _insert(cols, g, None)
+    return Tableau(tuple(tuple(c) for c in cols))
 
 
 def lnds(w: Sequence[int]) -> int:

@@ -13,6 +13,10 @@ class RankError(ParseError):
     """Letter outside the alphabet {1..rank}."""
 
 
+class OutputError(PlacticError):
+    """An output file or directory cannot be written."""
+
+
 class ResourceLimit(PlacticError):
     """A configured search or memory bound was exceeded."""
 

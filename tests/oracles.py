@@ -2,8 +2,8 @@
 
 The tableau oracle here is a direct row-by-row transcription of Schensted
 insertion on lists of rows.  The package itself stores tableaux as columns
-and inserts through a different code path (optionally compiled), so the two
-implementations share no code.
+and inserts through a different code path, so the two implementations share
+no code.
 """
 
 from itertools import combinations

@@ -154,6 +154,30 @@ def test_rule_table_budget_refusal(capsys):
     assert "rule-table entries" in err
 
 
+def test_normalize_parses_word_before_rule_table(capsys):
+    # the rank-12 table is over budget; the bad word must be reported first
+    code, out, err = run(capsys, "normalize", "--rank", "12", "--pair-budget", "10", "1,x")
+    assert_usage_error(code, out, err)
+    assert "cannot parse" in err
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["rules", "--rank", "3"], "missing/x"),  # parent directory does not exist
+        (["gsb", "--rank", "3"], "."),  # a directory, not a file
+        (["machines", "--rank", "3", "--gamma", "1"], "file"),  # a file, not a directory
+    ],
+    ids=["rules", "gsb", "machines"],
+)
+def test_unwritable_out(tmp_path, capsys, argv, target):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / target
+    code, out_text, err = run(capsys, *argv, "--out", str(out))
+    assert_usage_error(code, out_text, err)
+    assert f"cannot write {out}" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["tableau"])  # missing --rank and word

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,6 +142,24 @@ def test_schensted_theorem_small():
 def test_matches_row_insertion_oracle():
     for w in words_up_to(3, 6):
         assert tableau_of_word(w).columns == tuple(oracles.tableau_columns(w))
+    rng = random.Random(20240601)
+    for rank in range(4, 13):
+        for length in (7, 30, 90, 200):
+            w = tuple(rng.randint(1, rank) for _ in range(length))
+            t = tableau_of_word(w)
+            assert t.columns == tuple(oracles.tableau_columns(w))
+            replay = Tableau()
+            for g in w:
+                prev = replay
+                replay, trace = insert_with_trace(prev, g)
+                # the last landing site is the one cell the shape gains
+                m, c = trace[-1]
+                assert len(replay.columns[c]) == m
+                if c < prev.width:
+                    assert len(prev.columns[c]) == m - 1
+                else:
+                    assert m == 1
+            assert replay == t
 
 
 def test_readings_are_congruent():
