@@ -20,7 +20,6 @@ from plactic.core import (
     tableau_of_word,
 )
 from plactic.errors import (
-    DelayExceeded,
     NotInL,
     OutputError,
     ParseError,

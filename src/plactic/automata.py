@@ -2,8 +2,12 @@
 
 Symbols and states are arbitrary hashable values; epsilon is represented by
 None.  Machines are immutable after construction and all operations here are
-pure.  `synchronize` turns a bounded-length-discrepancy rational relation
-into the minimal deterministic automaton over padded letter pairs.
+pure.  `synchronize` turns a rational relation of bounded lag, one whose
+transducer emits as many letters as it reads on every cycle, into the
+minimal deterministic automaton over padded letter pairs.  Its buffer bound
+is the largest lag of any path prefix or suffix of the transducer, which no
+configuration of an accepting run exceeds; a relation of unbounded lag is
+refused with ValueError.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Hashable, Iterator, Sequence
 
-from plactic.errors import DelayExceeded, ResourceLimit
+from plactic.errors import ResourceLimit
 
 PAD = "$"
 
@@ -119,10 +123,10 @@ class Transducer:
         self.states = frozenset(states)
         self.initial = frozenset(initial)
         self.accepting = frozenset(accepting)
-        norm = set()
-        for src, sym, out, dst in transitions:
-            norm.add((src, sym, tuple(out), dst))
-        self.transitions = tuple(sorted(norm, key=_skey))
+        # no particular order: the exports sort what they write
+        self.transitions = tuple(
+            {(src, sym, tuple(out), dst) for src, sym, out, dst in transitions}
+        )
         if not self.initial <= self.states or not self.accepting <= self.states:
             raise ValueError("initial/accepting states must be declared states")
         self._by_state: dict[State, list[tuple[Symbol, tuple, State]]] = {}
@@ -202,12 +206,12 @@ def transducer_accepts_pair(t: Transducer, u: Sequence[Symbol], v: Sequence[Symb
     return False
 
 
-def _sweep(seeds, edges) -> set:
-    """The states reachable from seeds, given each state's successors."""
+def _sweep(seeds, successors) -> set:
+    """The states reachable from seeds; successors(state) lists the next ones."""
     seen = set(seeds)
-    queue = deque(seeds)
+    queue = deque(seen)
     while queue:
-        for nxt in edges.get(queue.popleft(), ()):
+        for nxt in successors(queue.popleft()):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -221,7 +225,8 @@ def trim(t: Transducer) -> Transducer:
     for src, _, _, dst in t.transitions:
         fwd.setdefault(src, set()).add(dst)
         bwd.setdefault(dst, set()).add(src)
-    keep = _sweep(t.initial, fwd) & _sweep(t.accepting, bwd)
+    reach = _sweep(t.initial, lambda q: fwd.get(q, ()))
+    keep = reach & _sweep(t.accepting, lambda q: bwd.get(q, ()))
     return Transducer(
         t.in_alphabet,
         t.out_alphabet,
@@ -401,26 +406,46 @@ class PairAutomaton:
         return self._final[state]
 
 
-def _relation_samples(t: Transducer, max_arcs: int, cap: int) -> set[tuple[tuple, tuple]]:
-    """Pairs of the relation realized by accepting paths of <= max_arcs arcs."""
-    pairs: set[tuple[tuple, tuple]] = set()
-    queue = deque(((q, (), ()) for q in t.initial))
-    depth = {cfg: 0 for cfg in queue}
-    while queue:
-        cfg = queue.popleft()
-        q, u, v = cfg
-        if q in t.accepting:
-            pairs.add((u, v))
-            if len(pairs) >= cap:
-                return pairs
-        if depth[cfg] == max_arcs:
-            continue
-        for sym, out, dst in t.arcs_from(q):
-            nxt = (dst, u + ((sym,) if sym is not None else ()), v + out)
-            if nxt not in depth:
-                depth[nxt] = depth[cfg] + 1
-                queue.append(nxt)
-    return pairs
+def _lag_bound(t: Transducer) -> int:
+    """The largest buffer any configuration on an accepting run of
+    `synchronize` needs for the trimmed transducer t; ValueError when t has
+    a cycle that emits more or fewer letters than it reads.
+
+    An arc weighs len(out) minus the one letter it reads (none for epsilon).
+    The prefix lags of a state are the weights of paths to it from an
+    initial state, its suffix lags those of paths from it to an accepting
+    state.  A simple path weighs at most the sum of all |weights|, so a
+    sweep past that sum has gone round an unbalanced cycle.
+
+    A configuration's buffer holds |lag| letters, where lag = letters
+    emitted - right letters read.  On an accepting run for (u, v) at a state
+    with prefix lag a and suffix lag b, a + b = |v| - |u|, and the right
+    word is ahead of the left by k letters, k between 0 and a + b in every
+    padding phase of R and L.  So lag = a - k lies between a and -b, and the
+    largest |lag| of both sweeps caps the buffer without dropping any
+    configuration of an accepting run.
+    """
+    fwd: dict[State, list[tuple[int, State]]] = {}
+    bwd: dict[State, list[tuple[int, State]]] = {}
+    for src, sym, out, dst in t.transitions:
+        weight = len(out) - (1 if sym is not None else 0)
+        fwd.setdefault(src, []).append((weight, dst))
+        bwd.setdefault(dst, []).append((weight, src))
+    ceiling = sum(abs(w) for arcs in fwd.values() for w, _ in arcs)
+
+    def lags(seeds, arcs) -> set:
+        def successors(cfg):
+            q, lag = cfg
+            for weight, nxt in arcs.get(q, ()):
+                if abs(lag + weight) > ceiling:
+                    raise ValueError("unbounded lag: a cycle of the transducer emits "
+                                     "more or fewer letters than it reads")
+                yield nxt, lag + weight
+
+        return _sweep({(q, 0) for q in seeds}, successors)
+
+    reached = lags(t.initial, fwd) | lags(t.accepting, bwd)
+    return max((abs(lag) for _, lag in reached), default=0)
 
 
 def _output_prefixes(t: Transducer, bound: int) -> dict[State, set[tuple]]:
@@ -459,7 +484,7 @@ def _minimal_dfa(a: Nfa) -> Nfa:
     back: dict[State, list[State]] = {}
     for src, _, dst in a.transitions:
         back.setdefault(dst, []).append(src)
-    live = _sweep(a.accepting, back)
+    live = _sweep(a.accepting, lambda q: back.get(q, ()))
     trimmed = Nfa(
         a.alphabet,
         live,
@@ -518,23 +543,18 @@ def _minimal_dfa(a: Nfa) -> Nfa:
     return Nfa(a.alphabet, range(len(number)), {0}, accepting, transitions)
 
 
-def synchronize(
-    t: Transducer,
-    direction: str,
-    max_delay: int,
-    state_limit: int = 10**6,
-) -> PairAutomaton:
+def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> PairAutomaton:
     """Minimal DFA accepting the padded encodings of t's relation.
 
     Simulates t against the pair string with a buffer of emitted-but-unmatched
-    (or awaited) output symbols.  A configuration is dropped when its awaited
-    queue is not a prefix of any output its t-state can still emit: it can
-    never empty the queue, so this drop is sound by construction.  A
-    configuration whose buffer would exceed `max_delay` is dropped too; when
-    such drops occurred, short relation pairs enumerated straight from t's
-    transition graph are re-checked against the result and any miss raises
-    DelayExceeded (the bound was genuinely too small).  Construction aborts
-    with ResourceLimit past `state_limit` configurations.
+    (or awaited) output symbols.  The relation must have bounded lag: every
+    cycle of t emits as many letters as it reads, or ValueError is raised.
+    Two drops keep the search finite, and both are sound by construction.  A
+    configuration whose buffer exceeds `_lag_bound(t)` lies on no accepting
+    run (see `_lag_bound`).  A configuration whose awaited queue is not a
+    prefix of any output its t-state can still emit can never empty the
+    queue.  Construction aborts with ResourceLimit past `state_limit`
+    configurations.
 
     The configuration graph is then trimmed, determinized and minimized, so
     the result has one initial state, no epsilon arcs, at most one arc per
@@ -543,11 +563,10 @@ def synchronize(
     if direction not in ("R", "L"):
         raise ValueError(f"direction must be 'R' or 'L', got {direction!r}")
     t = trim(t)
+    bound = _lag_bound(t)
     base = sorted(t.in_alphabet | t.out_alphabet, key=_skey)
     letters = [(x, y) for x in base + [PAD] for y in base + [PAD] if (x, y) != (PAD, PAD)]
-    can_emit = _output_prefixes(t, max_delay)
-
-    pruned = 0
+    can_emit = _output_prefixes(t, bound)
 
     def emit(out, prod, owed, v_closed):
         # feed emitted symbols through the awaited queue, overflow to prod;
@@ -576,9 +595,7 @@ def synchronize(
     def store(cfg, label, nxt):
         # buffer caps apply to stored configurations only; within one pair
         # letter the awaited queue may transiently exceed the bound
-        nonlocal pruned
-        if len(nxt[1]) > max_delay or len(nxt[2]) > max_delay:
-            pruned += 1
+        if len(nxt[1]) > bound or len(nxt[2]) > bound:
             return
         if nxt[2] not in can_emit[nxt[0]]:
             return  # t can never emit the awaited queue: no accepting run
@@ -651,18 +668,7 @@ def synchronize(
                     if buf is not None:
                         store(cfg, (x, y), (dst, buf[0], buf[1], nfl, nfr))
 
-    nfa = _minimal_dfa(Nfa(letters, seen, init, accepting, transitions))
-    result = PairAutomaton(nfa, direction)
-    if pruned:
-        # cheap soundness probe: short pairs read off the transition graph
-        # must survive; subtle losses on longer pairs are the exhaustive
-        # verification suites' job to catch
-        for u, v in sorted(_relation_samples(t, max_arcs=6, cap=4000), key=_skey):
-            if not result.accepts_pair(u, v):
-                raise DelayExceeded(
-                    f"pair {(u, v)!r} lost at max_delay={max_delay} (direction {direction})"
-                )
-    return result
+    return PairAutomaton(_minimal_dfa(Nfa(letters, seen, init, accepting, transitions)), direction)
 
 
 # -- export --------------------------------------------------------------

@@ -29,9 +29,5 @@ class ViolationFound(PlacticError):
         super().__init__(message or f"non-decreasing rule: {rule!r}")
 
 
-class DelayExceeded(PlacticError):
-    """Synchronization needed a larger buffer than the configured delay bound."""
-
-
 class NotInL(PlacticError):
     """Input word is not in the normal-form language."""

@@ -323,23 +323,16 @@ def lifted_multiplier(n: int, gamma: Optional[int], side: str = "right") -> Tran
     return lift_multiplier(base, q)
 
 
-def default_delay(n: int) -> int:
-    # between column boundaries the awaited queue holds at most one column
-    # of letters, plus one for the length shift of the product
-    return n + 1
-
-
 def multiplier_pair_automata(
-    n: int, gamma: Optional[int], max_delay: Optional[int] = None, state_limit: int = 10**6
+    n: int, gamma: Optional[int], state_limit: int = 10**6
 ) -> dict[tuple[str, str], PairAutomaton]:
     """The four padded multiplier automata for one generator: both sides,
     both padding directions.  gamma=None gives the empty-generator identity."""
-    delay = default_delay(n) if max_delay is None else max_delay
     out: dict[tuple[str, str], PairAutomaton] = {}
     for side in ("right", "left"):
         lifted = lifted_multiplier(n, gamma, side)
         for direction in ("R", "L"):
-            out[(side, direction)] = synchronize(lifted, direction, delay, state_limit)
+            out[(side, direction)] = synchronize(lifted, direction, state_limit)
     return out
 
 

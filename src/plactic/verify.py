@@ -64,11 +64,12 @@ def verify_core(cfg: Config) -> Report:
     rep = Report("core")
     rank, max_len = cfg.rank, cfg.max_len
     words = _words(rank, max_len)
+    tab = {w: tableau_of_word(w) for w in words}
 
-    bad = [w for w in words if tableau_of_word(w).width != lnds(w) or tableau_of_word(w).height != lds(w)]
+    bad = [w for w in words if tab[w].width != lnds(w) or tab[w].height != lds(w)]
     rep.check("columns=lnds and rows=lds", len(words), bad)
 
-    bad = [w for w in words if len(tableau_of_word(w).row_reading()) != len(w)]
+    bad = [w for w in words if len(tab[w].row_reading()) != len(w)]
     rep.check("length preserved", len(words), bad)
 
     bad = []
@@ -88,8 +89,7 @@ def verify_core(cfg: Config) -> Report:
     bad = [
         w
         for w in short
-        if tableau_of_word(w).column_reading() not in classes[w]
-        or tableau_of_word(w).row_reading() not in classes[w]
+        if tab[w].column_reading() not in classes[w] or tab[w].row_reading() not in classes[w]
     ]
     rep.check("readings stay in the congruence class", len(short), bad)
 
@@ -101,7 +101,7 @@ def verify_core(cfg: Config) -> Report:
     for group in by_len.values():
         for u, v in itertools.combinations(group, 2):
             pairs += 1
-            if (v in classes[u]) != (tableau_of_word(u) == tableau_of_word(v)):
+            if (v in classes[u]) != (tab[u] == tab[v]):
                 bad.append((u, v))
     rep.check("equivalence iff equal tableaux", pairs, bad)
 
@@ -197,7 +197,7 @@ def verify_automata(cfg: Config) -> Report:
     bad = []
     for t, name in ((copy, "copy"), (append, "append")):
         for direction in "RL":
-            pa = automata.synchronize(t, direction, 3)
+            pa = automata.synchronize(t, direction)
             for u in words:
                 expect = {u} if name == "copy" else {u + (1,)}
                 for v in words:
@@ -224,7 +224,7 @@ def verify_automata(cfg: Config) -> Report:
     ]
     rep.check("composition matches set composition", len(words) ** 2, bad)
 
-    pa = automata.synchronize(append, "R", 3)
+    pa = automata.synchronize(append, "R")
     image = {automata.delta_r(u, u + (1,)) for u in words}
     bad = [
         s

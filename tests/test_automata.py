@@ -9,6 +9,7 @@ from plactic.automata import (
     Nfa,
     PairAutomaton,
     Transducer,
+    _lag_bound,
     compose_relations,
     delta_l,
     delta_r,
@@ -22,7 +23,7 @@ from plactic.automata import (
     transducer_to_json,
     trim,
 )
-from plactic.errors import DelayExceeded, ResourceLimit
+from plactic.errors import ResourceLimit
 
 import oracles
 
@@ -160,7 +161,7 @@ def test_rational_image():
 
 def test_synchronize_identity():
     for direction in "RL":
-        pa = synchronize(copy_machine(("a",)), direction, 2)
+        pa = synchronize(copy_machine(("a",)), direction)
         assert pa.accepts_pair(("a", "a"), ("a", "a"))
         assert not pa.accepts_pair(("a",), ("a", "a"))
         assert pa.accepts_pair((), ())
@@ -169,7 +170,7 @@ def test_synchronize_identity():
 def test_synchronize_append():
     t = append_machine(sigma=("a",))
     for direction in "RL":
-        pa = synchronize(t, direction, 2)
+        pa = synchronize(t, direction)
         for k in range(4):
             u = ("a",) * k
             assert pa.accepts_pair(u, u + ("a",))
@@ -181,7 +182,7 @@ def test_synchronize_matches_outputs():
     t = append_machine()
     words = words_over(ABC, 4)
     for direction in "RL":
-        pa = synchronize(t, direction, 3)
+        pa = synchronize(t, direction)
         for u in words:
             expected = transducer_outputs(t, u)
             for v in words:
@@ -192,7 +193,7 @@ def test_synchronize_returns_trim_minimal_dfa():
     machines = [copy_machine(("a",)), copy_machine(), append_machine(), append_machine(sigma=("a", "b"))]
     for t in machines:
         for direction in "RL":
-            assert oracles.dfa_contract_violations(synchronize(t, direction, 3).nfa) == []
+            assert oracles.dfa_contract_violations(synchronize(t, direction).nfa) == []
 
 
 def test_dfa_contract_oracle_flags_defects():
@@ -238,7 +239,7 @@ def test_accepts_pair_matches_general_nfa_path():
     ]
     for t in machines:
         for direction, encode in (("R", delta_r), ("L", delta_l)):
-            pa = synchronize(t, direction, 3)
+            pa = synchronize(t, direction)
             for u in words:
                 for v in words:
                     assert pa.accepts_pair(u, v) == pa.nfa.accepts(encode(u, v)), (direction, u, v)
@@ -246,15 +247,14 @@ def test_accepts_pair_matches_general_nfa_path():
 
 def test_synchronize_empty_relation():
     empty = Transducer(ABC, ABC, {0, 1}, {0}, {1}, [])
-    pa = synchronize(empty, "R", 2)
+    pa = synchronize(empty, "R")
     assert len(pa.nfa.states) == 1 and not pa.nfa.accepting
     assert not pa.accepts_pair((), ())
 
 
-def test_delay_exceeded():
-    # appends two letters: length discrepancy 2 forces an awaited queue of 2
-    # under left padding
-    t = Transducer(
+def append_two_machine():
+    # appends "aa": length discrepancy 2, an awaited queue of 2 under L padding
+    return Transducer(
         ("a", "b"),
         ("a", "b"),
         {0, 1, 2},
@@ -262,17 +262,34 @@ def test_delay_exceeded():
         {2},
         [(0, "a", ("a",), 0), (0, "b", ("b",), 0), (0, None, ("a",), 1), (1, None, ("a",), 2)],
     )
-    with pytest.raises(DelayExceeded):
-        synchronize(t, "L", 1)
-    pa = synchronize(t, "L", 2)
+
+
+def test_synchronize_derives_its_buffer_bound():
+    pa = synchronize(append_two_machine(), "L")
     assert pa.accepts_pair(("b",), ("b", "a", "a"))
+    assert not pa.accepts_pair(("b",), ("b", "a"))
+
+
+def test_synchronize_refuses_unbounded_lag():
+    doubling = Transducer(("a",), ("a",), {0}, {0}, {0}, [(0, "a", ("a", "a"), 0)])
+    for direction in "RL":
+        with pytest.raises(ValueError, match="unbounded lag"):
+            synchronize(doubling, direction)
+
+
+def test_lag_bound():
+    empty = Transducer(ABC, ABC, {0, 1}, {0}, {1}, [])
+    assert _lag_bound(trim(copy_machine())) == 0
+    assert _lag_bound(trim(append_machine())) == 1
+    assert _lag_bound(trim(append_two_machine())) == 2
+    assert _lag_bound(trim(empty)) == 0
 
 
 def test_accepted_strings_are_valid_encodings():
     t = append_machine(sigma=("a", "b"))
     words = words_over(("a", "b"), 3)
     for direction, enc in (("R", delta_r), ("L", delta_l)):
-        pa = synchronize(t, direction, 3)
+        pa = synchronize(t, direction)
         valid = {enc(u, u + ("a",)) for u in words}
         accepted = set(enumerate_accepted(pa.nfa, 4))
         assert accepted == valid
@@ -281,8 +298,8 @@ def test_accepted_strings_are_valid_encodings():
 def test_exports_are_deterministic():
     t = append_machine()
     assert transducer_to_json(t) == transducer_to_json(append_machine())
-    pa1 = nfa_to_json(synchronize(t, "R", 3).nfa)
-    pa2 = nfa_to_json(synchronize(append_machine(), "R", 3).nfa)
+    pa1 = nfa_to_json(synchronize(t, "R").nfa)
+    pa2 = nfa_to_json(synchronize(append_machine(), "R").nfa)
     assert pa1 == pa2
 
 

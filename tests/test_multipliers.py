@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 from plactic.automata import (
+    _lag_bound,
     compose_relations,
     delta_l,
     delta_r,
@@ -288,6 +289,16 @@ def test_pair_automata_are_minimal_dfas():
             assert tuple(len(machines[k].nfa.states) for k in KEYS) == counts
             for key in KEYS:
                 assert oracles.dfa_contract_violations(machines[key].nfa) == [], (rank, gamma, key)
+
+
+def test_lag_bound_of_lifted_multipliers():
+    # one column of letters, plus one for the product's extra letter; an R
+    # run that reads its $ before the final epsilon flush holds all n + 1
+    for rank in (2, 3, 4):
+        for gamma in [None] + list(range(1, rank + 1)):
+            for side in ("right", "left"):
+                bound = _lag_bound(lifted_multiplier(rank, gamma, side))
+                assert bound == (0 if gamma is None else rank + 1), (rank, gamma, side)
 
 
 def test_machines_export_ignores_hash_seed(tmp_path):
