@@ -485,23 +485,18 @@ def _minimal_dfa(a: Nfa) -> Nfa:
     for src, _, dst in a.transitions:
         back.setdefault(dst, []).append(src)
     live = _sweep(a.accepting, lambda q: back.get(q, ()))
-    trimmed = Nfa(
-        a.alphabet,
-        live,
-        a.initial & live,
-        a.accepting,
-        [tr for tr in a.transitions if tr[0] in live and tr[2] in live],
-    )
-    # subset construction: subsets[i] is the frontier of DFA state i (an
-    # empty language leaves the one empty frontier, a lone rejecting state)
-    start = trimmed.start_set()
+    # subset construction over the co-reachable states: a path into one runs
+    # through co-reachable states only.  subsets[i] is the frontier of DFA
+    # state i (an empty language leaves the one empty frontier, a lone
+    # rejecting state)
+    start = a.start_set() & live
     subsets = [start]
     index = {start: 0}
     delta: list[dict[Symbol, int]] = []
     for frontier in subsets:
         row = {}
         for sym in letters:
-            nxt = trimmed.move(frontier, sym)
+            nxt = a.move(frontier, sym) & live
             if nxt:
                 if nxt not in index:
                     index[nxt] = len(subsets)
@@ -510,7 +505,7 @@ def _minimal_dfa(a: Nfa) -> Nfa:
         delta.append(row)
 
     # Moore refinement, from the accepting / non-accepting split
-    final = [bool(frontier & trimmed.accepting) for frontier in subsets]
+    final = [bool(frontier & a.accepting) for frontier in subsets]
     block = [int(f) for f in final]
     count = len(set(block))
     while True:
@@ -556,49 +551,54 @@ def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> Pair
     queue.  Construction aborts with ResourceLimit past `state_limit`
     configurations.
 
+    Each side of the pair string has two phases.  A side enters its second
+    phase at its first $ under R, or at its first letter under L, and after
+    that reads only that kind of symbol.  Beyond that, R allows no $ on the
+    right while emitted symbols wait for it, and no emission once the right
+    word is closed.  Only the letters a configuration can read are tried:
+    on the left $ (t stays put) or the input letter of an arc of t; on the
+    right $, the head of the emitted symbols, or any letter when none wait.
+
     The configuration graph is then trimmed, determinized and minimized, so
     the result has one initial state, no epsilon arcs, at most one arc per
     (state, letter), only useful states, and a canonical numbering.
     """
     if direction not in ("R", "L"):
         raise ValueError(f"direction must be 'R' or 'L', got {direction!r}")
+    right = direction == "R"
     t = trim(t)
     bound = _lag_bound(t)
     base = sorted(t.in_alphabet | t.out_alphabet, key=_skey)
     letters = [(x, y) for x in base + [PAD] for y in base + [PAD] if (x, y) != (PAD, PAD)]
     can_emit = _output_prefixes(t, bound)
 
-    def emit(out, prod, owed, v_closed):
-        # feed emitted symbols through the awaited queue, overflow to prod;
-        # once the right word closed, only awaited symbols may still be emitted
-        prod = list(prod)
-        owed = list(owed)
-        for sym in out:
-            if owed:
-                if owed[0] != sym:
-                    return None
-                owed.pop(0)
-            else:
-                if v_closed:
-                    return None
-                prod.append(sym)
-        return tuple(prod), tuple(owed)
+    def phase(flag, pad):
+        # the side's new flag, or None when it may not read this symbol
+        return True if pad == right else (None if flag else False)
 
-    # configuration: (t-state, produced, awaited, left flag, right flag)
-    # R: flags mean "that side already hit $"; L: "that side started real letters"
+    # configuration: (t-state, produced, awaited, left flag, right flag), a
+    # flag being True once that side is in its second phase
     init = [(q, (), (), False, False) for q in sorted(t.initial, key=_skey)]
     seen = set(init)
     queue = deque(init)
     transitions = []
     accepting = set()
 
-    def store(cfg, label, nxt):
+    def store(cfg, label, out, dst, prod, owed, fl, fr):
+        # emitted symbols settle the awaited queue first and the rest extends
+        # prod; under R nothing may be emitted past the closed right word
+        if out:
+            k = min(len(out), len(owed))
+            if out[:k] != owed[:k] or (right and fr and len(out) > k):
+                return
+            prod, owed = prod + out[k:], owed[k:]
         # buffer caps apply to stored configurations only; within one pair
         # letter the awaited queue may transiently exceed the bound
-        if len(nxt[1]) > bound or len(nxt[2]) > bound:
+        if len(prod) > bound or len(owed) > bound:
             return
-        if nxt[2] not in can_emit[nxt[0]]:
+        if owed not in can_emit[dst]:
             return  # t can never emit the awaited queue: no accepting run
+        nxt = (dst, prod, owed, fl, fr)
         transitions.append((cfg, label, nxt))
         if nxt not in seen:
             if len(seen) >= state_limit:
@@ -611,62 +611,34 @@ def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> Pair
         q, prod, owed, fl, fr = cfg
         if q in t.accepting and not prod and not owed:
             accepting.add(cfg)
-        # epsilon arcs of t run freely between pair letters
-        v_closed = fr if direction == "R" else False
+        # epsilon arcs of t run freely between pair letters; the left letter
+        # is $ (t stays put) or the input letter of one of t's arcs
+        lefts = [(PAD, (), q, phase(fl, True))]
         for sym, out, dst in t.arcs_from(q):
-            if sym is not None:
+            if sym is None:
+                store(cfg, None, out, dst, prod, owed, fl, fr)
+            else:
+                lefts.append((sym, out, dst, phase(fl, False)))
+        # the right letter is $, the head of prod, or any letter if prod is
+        # empty; under R no $ while prod is non-empty
+        if not prod:
+            rights = [PAD] + base
+        else:
+            rights = [prod[0]] if right else [PAD, prod[0]]
+        for y in rights:
+            nfr = phase(fr, y == PAD)
+            if nfr is None:
                 continue
-            buf = emit(out, prod, owed, v_closed)
-            if buf is not None:
-                store(cfg, None, (dst, buf[0], buf[1], fl, fr))
-        for x, y in letters:
-            if direction == "R":
-                if x == PAD:
-                    nfl = True
-                elif fl:
-                    continue
-                else:
-                    nfl = False
-                if y == PAD:
-                    if prod:
-                        continue  # emitted symbols beyond the right word
-                    nfr = True
-                elif fr:
-                    continue
-                else:
-                    nfr = False
+            # the right letter first: match it or add it to the awaited queue
+            if y == PAD:
+                prod2, owed2 = prod, owed
+            elif prod:
+                prod2, owed2 = prod[1:], owed
             else:
-                if x == PAD:
-                    if fl:
-                        continue  # $ only as a prefix
-                    nfl = False
-                else:
-                    nfl = True
-                if y == PAD:
-                    if fr:
-                        continue
-                    nfr = False
-                else:
-                    nfr = True
-            # the right letter first: match it or add to the awaited queue
-            prod2, owed2 = prod, owed
-            if y != PAD:
-                if prod2:
-                    if prod2[0] != y:
-                        continue
-                    prod2 = prod2[1:]
-                else:
-                    owed2 = owed2 + (y,)
-            v_closed = nfr if direction == "R" else False
-            if x == PAD:
-                store(cfg, (x, y), (q, prod2, owed2, nfl, nfr))
-            else:
-                for sym, out, dst in t.arcs_from(q):
-                    if sym != x:
-                        continue
-                    buf = emit(out, prod2, owed2, v_closed)
-                    if buf is not None:
-                        store(cfg, (x, y), (dst, buf[0], buf[1], nfl, nfr))
+                prod2, owed2 = prod, owed + (y,)
+            for x, out, dst, nfl in lefts:
+                if nfl is not None and (x, y) != (PAD, PAD):
+                    store(cfg, (x, y), out, dst, prod2, owed2, nfl, nfr)
 
     return PairAutomaton(_minimal_dfa(Nfa(letters, seen, init, accepting, transitions)), direction)
 

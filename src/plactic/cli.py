@@ -143,7 +143,8 @@ def cmd_machines(args) -> int:
         render_t(f"left_multiplier_col_{gamma}", multipliers.left_multiplier(rank, gamma))
     for side in ("right", "left"):
         render_t(f"{side}_multiplier_{gamma or 'eps'}", multipliers.lifted_multiplier(rank, gamma, side))
-    for (side, direction), pa in sorted(multipliers.multiplier_pair_automata(rank, gamma).items()):
+    machines = multipliers.multiplier_pair_automata(rank, gamma, _env_int("PLACTIC_MAX_STATES", 10**6))
+    for (side, direction), pa in sorted(machines.items()):
         name = f"pair_{side}_{direction}_{gamma or 'eps'}"
         if args.format == "dot":
             exports.append((f"{name}.dot", automata.pair_automaton_to_dot(pa, name)))
@@ -202,6 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--rank", type=int, required=True, help="alphabet size")
         else:
             p.add_argument("--rank", type=int, default=rank_default, help="alphabet size")
+
+    def rule_table(p):
+        # only the commands that build a rule table take its budget
         p.add_argument(
             "--pair-budget",
             type=int,
@@ -216,6 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", help="normal form of a word over letters or columns")
     common(p)
+    rule_table(p)
     p.add_argument("word", help="letter word, or c:-prefixed column word like c:21,1")
     p.set_defaults(fn=cmd_normalize)
 
@@ -229,12 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rules", help="export the rewriting rules")
     common(p)
+    rule_table(p)
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_rules)
 
     p = sub.add_parser("gsb", help="export the binomial basis")
     common(p)
+    rule_table(p)
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_gsb)
@@ -248,6 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the exhaustive verification suites")
     common(p, rank_default=3)
+    rule_table(p)
     p.add_argument("--max-len", type=int, default=6)
     p.add_argument("--thorough", action="store_true", help="raise bounds to rank 4, length 7")
     p.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])

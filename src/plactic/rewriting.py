@@ -167,7 +167,7 @@ def critical_pairs(system: RewritingSystem) -> list[Overlap]:
     for a, b in rules:
         by_first.setdefault(a, []).append(b)
     out = []
-    for (a, b), rhs_ab in sorted(rules.items(), key=lambda kv: (column_key(kv[0][0]), column_key(kv[0][1]))):
+    for (a, b), rhs_ab in system.sorted_rules():
         for c in sorted(by_first.get(b, []), key=column_key):
             rhs_bc = rules[(b, c)]
             left = normalize(rhs_ab + (c,), system)

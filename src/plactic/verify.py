@@ -235,12 +235,10 @@ def verify_automata(cfg: Config) -> Report:
     return rep
 
 
-def verify_multipliers(cfg: Config) -> Report:
-    rep = Report("multipliers")
-    rank = min(cfg.rank, 3)
-    cells = min(cfg.max_len, 6)
+def _check_multipliers(rep: Report, cfg: Config, rank: int, tabs: list, prefix: str) -> None:
+    """Column, lifted and pair multipliers of one rank against normalization
+    and tableau products, over the given tableaux; labels start with prefix."""
     rs = rewriting.generate_rules(rank)
-    tabs = list(iter_tableaux(rank, cells))
     kwords = [t.columns for t in tabs]
     lwords = [t.column_reading() for t in tabs]
 
@@ -253,7 +251,7 @@ def verify_multipliers(cfg: Config) -> Report:
                 bad.append(("right", gamma, u))
             if automata.transducer_outputs(lm, u) != {rewriting.normalize(((gamma,),) + u, rs)}:
                 bad.append(("left", gamma, u))
-    rep.check("column multipliers match normalization", 2 * rank * len(kwords), bad)
+    rep.check(f"{prefix}column multipliers match normalization", 2 * rank * len(kwords), bad)
 
     rm = multipliers.right_multiplier(rank, 1)
     non_k = [
@@ -262,7 +260,7 @@ def verify_multipliers(cfg: Config) -> Report:
         if not column_ge(w[0], w[1])
     ]
     bad = [u for u in non_k if automata.transducer_outputs(rm, u)]
-    rep.check("multiplier domain excludes non-normal words", len(non_k), bad)
+    rep.check(f"{prefix}multiplier domain excludes non-normal words", len(non_k), bad)
 
     bad = []
     count = 0
@@ -275,7 +273,7 @@ def verify_multipliers(cfg: Config) -> Report:
                 prod = u + g if side == "right" else g + u
                 if automata.transducer_outputs(lifted, u) != {tableau_of_word(prod).column_reading()}:
                     bad.append((side, gamma, u))
-    rep.check("lifted multipliers match tableau products", count, bad)
+    rep.check(f"{prefix}lifted multipliers match tableau products", count, bad)
 
     bad = []
     count = 0
@@ -292,7 +290,14 @@ def verify_multipliers(cfg: Config) -> Report:
                     count += 1
                     if pa.accepts_pair(u, v) != (v == expected[u]):
                         bad.append((side, direction, gamma, u, v))
-    rep.check("pair automata agree with the product oracle", count, bad)
+    rep.check(f"{prefix}pair automata agree with the product oracle", count, bad)
+
+
+def verify_multipliers(cfg: Config) -> Report:
+    rep = Report("multipliers")
+    rank = min(cfg.rank, 3)
+    tabs = list(iter_tableaux(rank, min(cfg.max_len, 6)))
+    _check_multipliers(rep, cfg, rank, tabs, "")
 
     seen = {}
     bad = []
@@ -307,36 +312,7 @@ def verify_multipliers(cfg: Config) -> Report:
 
     if cfg.thorough:
         # rank-4 spot checks: exhaustive sweeps stay at rank 3 by design
-        rs4 = rewriting.generate_rules(4)
-        spot = [t.columns for t in iter_tableaux(4, 4)]
-        bad = []
-        for gamma in range(1, 5):
-            rm = multipliers.right_multiplier(4, gamma)
-            lm = multipliers.left_multiplier(4, gamma)
-            for u in spot:
-                if automata.transducer_outputs(rm, u) != {rewriting.normalize(u + ((gamma,),), rs4)}:
-                    bad.append(("right", gamma, u))
-                if automata.transducer_outputs(lm, u) != {rewriting.normalize(((gamma,),) + u, rs4)}:
-                    bad.append(("left", gamma, u))
-        rep.check("rank-4 spot: column multipliers", 8 * len(spot), bad)
-
-        lspot = [t.column_reading() for t in iter_tableaux(4, 4)]
-        bad = []
-        count = 0
-        for gamma in [None] + list(range(1, 5)):
-            machines = multipliers.multiplier_pair_automata(4, gamma, state_limit=cfg.state_limit)
-            g = (gamma,) if gamma else ()
-            for (side, direction), pa in machines.items():
-                expected = {
-                    u: tableau_of_word(u + g if side == "right" else g + u).column_reading()
-                    for u in lspot
-                }
-                for u in lspot:
-                    for v in lspot:
-                        count += 1
-                        if pa.accepts_pair(u, v) != (v == expected[u]):
-                            bad.append((side, direction, gamma, u, v))
-        rep.check("rank-4 spot: pair automata", count, bad)
+        _check_multipliers(rep, cfg, 4, list(iter_tableaux(4, 4)), "rank-4 spot: ")
     return rep
 
 

@@ -264,6 +264,11 @@ def append_two_machine():
     )
 
 
+def test_synchronize_state_limit():
+    with pytest.raises(ResourceLimit, match="synchronize exceeded 2 configurations"):
+        synchronize(append_machine(), "R", state_limit=2)
+
+
 def test_synchronize_derives_its_buffer_bound():
     pa = synchronize(append_two_machine(), "L")
     assert pa.accepts_pair(("b",), ("b", "a", "a"))

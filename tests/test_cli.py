@@ -199,6 +199,33 @@ def test_non_integer_environment_limit(capsys, monkeypatch, name):
     assert name in err
 
 
+def test_machines_honours_state_limit(capsys, monkeypatch):
+    monkeypatch.setenv("PLACTIC_MAX_STATES", "50")
+    code, out, err = run(capsys, "machines", "--rank", "3", "--gamma", "1")
+    assert code == 1
+    assert out == ""
+    assert "synchronize exceeded 50 configurations" in err
+
+
+def test_machines_rejects_non_integer_state_limit(capsys, monkeypatch):
+    monkeypatch.setenv("PLACTIC_MAX_STATES", "abc")
+    code, out, err = run(capsys, "machines", "--rank", "3", "--gamma", "1")
+    assert_usage_error(code, out, err)
+    assert "PLACTIC_MAX_STATES" in err
+
+
+@pytest.mark.parametrize(
+    "command, argv",
+    [("tableau", ["21"]), ("multiply", ["--side", "right", "21", "1"]), ("machines", ["--gamma", "1"])],
+    ids=["tableau", "multiply", "machines"],
+)
+def test_pair_budget_only_where_a_rule_table_is_built(capsys, command, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--rank", "3", "--pair-budget", "5", *argv])
+    assert exc.value.code == 2
+    assert "--pair-budget" in capsys.readouterr().err
+
+
 def test_machines_rejects_multi_letter_generator(capsys):
     code, out, err = run(capsys, "machines", "--rank", "3", "--gamma", "12")
     assert_usage_error(code, out, err)

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from plactic.automata import (
     delta_l,
     delta_r,
     enumerate_accepted,
+    nfa_to_json,
     transducer_accepts_pair,
     transducer_outputs,
 )
@@ -38,6 +41,10 @@ MINIMAL_STATES = {
     3: {None: (12, 12, 12, 12), 1: (13, 13, 19, 23), 2: (15, 16, 15, 16), 3: (17, 17, 13, 13)},
     4: {1: (33, 33, 58, 70)},
 }
+
+# sha256 over the JSON export of every rank-2 and rank-3 pair DFA; the DFAs
+# are minimal and canonically numbered, so equal languages give equal bytes
+PAIR_DFA_SHA256 = "7731fb47f1aed2695ac7f1f4cfffd064e3409708375b07056f8cb377cc436b7d"
 
 
 def k_words(rank, max_cells):
@@ -289,6 +296,17 @@ def test_pair_automata_are_minimal_dfas():
             assert tuple(len(machines[k].nfa.states) for k in KEYS) == counts
             for key in KEYS:
                 assert oracles.dfa_contract_violations(machines[key].nfa) == [], (rank, gamma, key)
+
+
+def test_pair_dfa_exports_are_pinned():
+    digest = hashlib.sha256()
+    for rank in (2, 3):
+        for gamma in [None] + list(range(1, rank + 1)):
+            machines = multiplier_pair_automata(rank, gamma)
+            for key in sorted(machines):
+                digest.update(json.dumps(nfa_to_json(machines[key].nfa), sort_keys=True).encode())
+                digest.update(b"\n")
+    assert digest.hexdigest() == PAIR_DFA_SHA256
 
 
 def test_lag_bound_of_lifted_multipliers():
