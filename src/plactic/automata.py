@@ -368,8 +368,10 @@ class PairAutomaton:
 
     `nfa` holds the DFA in the general `Nfa` form, with states 0..n-1, the
     one initial state 0, no epsilon arcs and at most one arc per (state,
-    letter); construction raises ValueError otherwise.  `accepts_pair` walks
-    a successor table built here, once.
+    letter); construction raises ValueError otherwise.  Membership has two
+    entry points over a successor table built here, once: `accepts_pair`
+    decides one pair, and `accepted_pairs` decides every pair of a word set
+    in one walk per pair of word lengths.
     """
 
     nfa: Nfa
@@ -404,6 +406,52 @@ class PairAutomaton:
             if state is None:
                 return False
         return self._final[state]
+
+    def accepted_pairs(self, words) -> set[tuple[tuple, tuple]]:
+        """The pairs (u, v) of words x words that the DFA accepts, as tuples;
+        equal to {(u, v) | accepts_pair(u, v)}.
+
+        The words of each length form a trie whose depth-n nodes are the
+        words themselves.  For each pair of lengths (m, n) one depth-first
+        walk follows the successor table over pairs of nodes, one letter
+        pair per step, with $ on the shorter side after its word under R and
+        before it under L.  A missing arc drops the whole pair of subtrees,
+        so a walk reads each pair of prefixes at most once.
+        """
+        tries: dict[int, object] = {}
+        for w in map(tuple, words):
+            if not w:
+                tries[0] = w
+                continue
+            node = tries.setdefault(len(w), {})
+            for x in w[:-1]:
+                node = node.setdefault(x, {})
+            node[w[-1]] = w
+        succ, final = self._succ, self._final
+        accepted: set[tuple[tuple, tuple]] = set()
+
+        def walk(state, i, a, b, reads_u, reads_v):
+            if i == len(reads_u):
+                if final[state]:
+                    accepted.add((a, b))
+                return
+            arcs = succ[state]
+            for x, next_a in a.items() if reads_u[i] else ((PAD, a),):
+                for y, next_b in b.items() if reads_v[i] else ((PAD, b),):
+                    nxt = arcs.get((x, y))
+                    if nxt is not None:
+                        walk(nxt, i + 1, next_a, next_b, reads_u, reads_v)
+
+        for m, u_root in tries.items():
+            for n, v_root in tries.items():
+                depth = max(m, n)
+                # a side reads letters at steps [lo, lo + its length) and $ elsewhere
+                lo_u = depth - m if self.direction == "L" else 0
+                lo_v = depth - n if self.direction == "L" else 0
+                reads_u = [lo_u <= i < lo_u + m for i in range(depth)]
+                reads_v = [lo_v <= i < lo_v + n for i in range(depth)]
+                walk(0, 0, u_root, v_root, reads_u, reads_v)
+        return accepted
 
 
 def _lag_bound(t: Transducer) -> int:

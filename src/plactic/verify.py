@@ -262,35 +262,38 @@ def _check_multipliers(rep: Report, cfg: Config, rank: int, tabs: list, prefix: 
     bad = [u for u in non_k if automata.transducer_outputs(rm, u)]
     rep.check(f"{prefix}multiplier domain excludes non-normal words", len(non_k), bad)
 
-    bad = []
-    count = 0
+    # the lifted multipliers and the pair automata of each generator are
+    # checked against the same product column readings, computed once
+    index = {u: i for i, u in enumerate(lwords)}
+    lifted_bad, pair_bad = [], []
+    lifted_count = pair_count = 0
     for gamma in [None] + list(range(1, rank + 1)):
+        g = (gamma,) if gamma else ()
+        products = {}
         for side in ("right", "left"):
             lifted = multipliers.lifted_multiplier(rank, gamma, side)
-            g = (gamma,) if gamma else ()
-            for u in lwords:
-                count += 1
-                prod = u + g if side == "right" else g + u
-                if automata.transducer_outputs(lifted, u) != {tableau_of_word(prod).column_reading()}:
-                    bad.append((side, gamma, u))
-    rep.check(f"{prefix}lifted multipliers match tableau products", count, bad)
-
-    bad = []
-    count = 0
-    for gamma in [None] + list(range(1, rank + 1)):
-        machines = multipliers.multiplier_pair_automata(rank, gamma, state_limit=cfg.state_limit)
-        g = (gamma,) if gamma else ()
-        for (side, direction), pa in machines.items():
-            expected = {
+            products[side] = expected = {
                 u: tableau_of_word(u + g if side == "right" else g + u).column_reading()
                 for u in lwords
             }
+            lifted_count += len(lwords)
             for u in lwords:
-                for v in lwords:
-                    count += 1
-                    if pa.accepts_pair(u, v) != (v == expected[u]):
-                        bad.append((side, direction, gamma, u, v))
-    rep.check(f"{prefix}pair automata agree with the product oracle", count, bad)
+                if automata.transducer_outputs(lifted, u) != {expected[u]}:
+                    lifted_bad.append((side, gamma, u))
+
+        # a machine must accept exactly the graph {(u, u*gamma)} inside
+        # lwords x lwords; the symmetric difference is the failures, listed
+        # in (u, v) index order
+        machines = multipliers.multiplier_pair_automata(rank, gamma, state_limit=cfg.state_limit)
+        for (side, direction), pa in machines.items():
+            pair_count += len(lwords) ** 2
+            expected = products[side]
+            graph = {(u, expected[u]) for u in lwords if expected[u] in index}
+            wrong = pa.accepted_pairs(lwords) ^ graph
+            for u, v in sorted(wrong, key=lambda pair: (index[pair[0]], index[pair[1]])):
+                pair_bad.append((side, direction, gamma, u, v))
+    rep.check(f"{prefix}lifted multipliers match tableau products", lifted_count, lifted_bad)
+    rep.check(f"{prefix}pair automata agree with the product oracle", pair_count, pair_bad)
 
 
 def verify_multipliers(cfg: Config) -> Report:
@@ -311,8 +314,8 @@ def verify_multipliers(cfg: Config) -> Report:
     rep.check("column readings biject with tableaux", len(tabs), bad)
 
     if cfg.thorough:
-        # rank-4 spot checks: exhaustive sweeps stay at rank 3 by design
-        _check_multipliers(rep, cfg, 4, list(iter_tableaux(4, 4)), "rank-4 spot: ")
+        # the same checks, exhaustive at rank 4 over tableaux of up to 7 cells
+        _check_multipliers(rep, cfg, 4, list(iter_tableaux(4, 7)), "rank 4: ")
     return rep
 
 

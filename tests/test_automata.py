@@ -43,6 +43,12 @@ def append_machine(extra="a", sigma=ABC):
     return Transducer(sigma, sigma, {0, 1}, {0}, {1}, trans)
 
 
+def drop_last_machine(sigma=ABC):
+    # deletes the last letter: the one machine here whose v is shorter than u
+    trans = [(0, a, (a,), 0) for a in sigma] + [(0, a, (), 1) for a in sigma]
+    return Transducer(sigma, sigma, {0, 1}, {0}, {1}, trans)
+
+
 def test_delta_r_cases():
     assert delta_r("ab", "a") == (("a", "a"), ("b", PAD))
     assert delta_r("a", "ab") == (("a", "a"), (PAD, "b"))
@@ -288,6 +294,55 @@ def test_lag_bound():
     assert _lag_bound(trim(append_machine())) == 1
     assert _lag_bound(trim(append_two_machine())) == 2
     assert _lag_bound(trim(empty)) == 0
+
+
+def per_pair(pa, words):
+    return {(u, v) for u in words for v in words if pa.accepts_pair(u, v)}
+
+
+def mutate(pa, accepting=None, transitions=None):
+    a = pa.nfa
+    return PairAutomaton(
+        Nfa(a.alphabet, a.states, a.initial,
+            a.accepting if accepting is None else accepting,
+            a.transitions if transitions is None else transitions),
+        pa.direction,
+    )
+
+
+def test_accepted_pairs_matches_accepts_pair():
+    # the prefix-sharing walk against the one-pair walk on every pair; the
+    # words include the empty word, unequal lengths either way round and
+    # letters outside some machines' alphabets ("c" for the ab machines,
+    # "z" for all)
+    words = words_over(ABC, 3) + [("z",), ("a", "z"), ("z", "b", "a", "c")]
+    machines = [
+        copy_machine(("a",)), copy_machine(), append_machine(), append_machine(sigma=("a", "b")),
+        append_two_machine(), drop_last_machine(),
+    ]
+    for t in machines:
+        for direction in "RL":
+            pa = synchronize(t, direction)
+            accepted = pa.accepted_pairs(words)
+            assert accepted, direction
+            assert accepted == per_pair(pa, words), direction
+
+
+def test_accepted_pairs_sees_mutations():
+    # a flipped final flag and a dropped arc each change the accepted set,
+    # and the walk still agrees with accepts_pair on the mutated machine
+    words = words_over(ABC, 3)
+    for direction in "RL":
+        pa = synchronize(append_machine(), direction)
+        arc = sorted(pa.nfa.transitions, key=repr)[0]
+        mutants = [
+            mutate(pa, accepting=pa.nfa.accepting ^ {0}),
+            mutate(pa, transitions=set(pa.nfa.transitions) - {arc}),
+        ]
+        for mutant in mutants:
+            accepted = mutant.accepted_pairs(words)
+            assert accepted != pa.accepted_pairs(words), direction
+            assert accepted == per_pair(mutant, words), direction
 
 
 def test_accepted_strings_are_valid_encodings():

@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from plactic import verify
 from plactic.automata import (
+    Nfa,
+    PairAutomaton,
     _lag_bound,
     compose_relations,
     delta_l,
@@ -227,6 +230,50 @@ def test_accepts_pair_matches_general_nfa_path():
                     assert pa.accepts_pair(u, v) == pa.nfa.accepts(encode(u, v)), (
                         gamma, side, direction, u, v,
                     )
+
+
+def test_accepted_pairs_matches_accepts_pair_rank3():
+    # the prefix-sharing walk against the one-pair walk, for all 16 rank-3
+    # machines on every pair of the 259 L-words of <= 6 cells
+    words = l_words(3, 6)
+    assert len(words) == 259
+    for gamma in (None, 1, 2, 3):
+        for key, pa in multiplier_pair_automata(3, gamma).items():
+            expected = {(u, v) for u in words for v in words if pa.accepts_pair(u, v)}
+            assert pa.accepted_pairs(words) == expected, (gamma, key)
+
+
+def test_verify_reports_a_broken_pair_automaton(monkeypatch):
+    # one accepting state of the rank-3 right R machine for gamma = 2 made
+    # non-accepting: verify must report it with the count and the first
+    # witness of the per-pair sweep
+    real = multiplier_pair_automata
+    key = ("right", "R")
+
+    def broken(n, gamma, state_limit=10**6):
+        machines = real(n, gamma, state_limit)
+        if gamma == 2:
+            a = machines[key].nfa
+            accepting = a.accepting - {min(a.accepting)}
+            nfa = Nfa(a.alphabet, a.states, a.initial, accepting, a.transitions)
+            machines[key] = PairAutomaton(nfa, "R")
+        return machines
+
+    monkeypatch.setattr(verify.multipliers, "multiplier_pair_automata", broken)
+    rep = verify.verify_multipliers(verify.Config())
+
+    words = l_words(3, 6)
+    pa = broken(3, 2)[key]
+    witnesses = [
+        ("right", "R", 2, u, v)
+        for u in words
+        for v in words
+        if pa.accepts_pair(u, v) != (v == tableau_of_word(u + (2,)).column_reading())
+    ]
+    assert witnesses
+    label = "pair automata agree with the product oracle"
+    assert f"FAIL {label}: {len(witnesses)}/1073296 items failed" in rep.lines
+    assert rep.failures == [f"{label}: {len(witnesses)} failures, first: {witnesses[0]!r}"]
 
 
 def test_epsilon_pair_automata_are_identity_on_l():
