@@ -31,7 +31,6 @@ from plactic.errors import (
 from plactic.rewriting import (
     GsbBasis,
     RewritingSystem,
-    all_columns,
     check_termination,
     critical_pairs,
     decode_word,

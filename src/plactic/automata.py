@@ -25,10 +25,6 @@ Symbol = Hashable
 State = Hashable
 
 
-def _skey(x) -> str:
-    return repr(x)
-
-
 class Nfa:
     """Nondeterministic finite automaton with epsilon moves (symbol None)."""
 
@@ -98,7 +94,7 @@ class Nfa:
 
 def enumerate_accepted(a: Nfa, max_len: int) -> Iterator[tuple]:
     """All accepted words of length <= max_len, by pruned depth-first search."""
-    symbols = sorted(a.alphabet, key=_skey)
+    symbols = sorted(a.alphabet, key=repr)
 
     def walk(frontier: frozenset, prefix: tuple):
         if frontier & a.accepting:
@@ -175,35 +171,6 @@ def transducer_outputs(t: Transducer, u: Sequence[Symbol], bound: int = 10**6) -
                 seen.add(nxt)
                 queue.append(nxt)
     return results
-
-
-def transducer_accepts_pair(t: Transducer, u: Sequence[Symbol], v: Sequence[Symbol]) -> bool:
-    """Membership of (u, v) in the relation, by search over (state, i, j)."""
-    u, v = tuple(u), tuple(v)
-    seen = set()
-    queue: deque = deque()
-    for q in t.initial:
-        cfg = (q, 0, 0)
-        seen.add(cfg)
-        queue.append(cfg)
-    while queue:
-        q, i, j = queue.popleft()
-        if i == len(u) and j == len(v) and q in t.accepting:
-            return True
-        for sym, out, dst in t.arcs_from(q):
-            ni = i
-            if sym is not None:
-                if i >= len(u) or u[i] != sym:
-                    continue
-                ni = i + 1
-            nj = j + len(out)
-            if nj > len(v) or v[j:nj] != out:
-                continue
-            cfg = (dst, ni, nj)
-            if cfg not in seen:
-                seen.add(cfg)
-                queue.append(cfg)
-    return False
 
 
 def _sweep(seeds, successors) -> set:
@@ -384,7 +351,7 @@ class PairAutomaton:
         if self.direction not in ("R", "L"):
             raise ValueError(f"direction must be 'R' or 'L', got {self.direction!r}")
         if a.initial != {0}:
-            starts = sorted(a.initial, key=_skey)
+            starts = sorted(a.initial, key=repr)
             raise ValueError(f"a pair DFA starts at state 0 alone, not at {starts!r}")
         n = len(a.states)
         if a.states != frozenset(range(n)):
@@ -528,7 +495,7 @@ def _minimal_dfa(a: Nfa) -> Nfa:
     from the initial state 0 over the repr-sorted alphabet, so equal languages
     give equal machines.
     """
-    letters = sorted(a.alphabet, key=_skey)
+    letters = sorted(a.alphabet, key=repr)
     back: dict[State, list[State]] = {}
     for src, _, dst in a.transitions:
         back.setdefault(dst, []).append(src)
@@ -616,7 +583,8 @@ def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> Pair
     right = direction == "R"
     t = trim(t)
     bound = _lag_bound(t)
-    base = sorted(t.in_alphabet | t.out_alphabet, key=_skey)
+    # no sorting: _minimal_dfa numbers the result the same for any order
+    base = list(t.in_alphabet | t.out_alphabet)
     letters = [(x, y) for x in base + [PAD] for y in base + [PAD] if (x, y) != (PAD, PAD)]
     can_emit = _output_prefixes(t, bound)
 
@@ -626,7 +594,7 @@ def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> Pair
 
     # configuration: (t-state, produced, awaited, left flag, right flag), a
     # flag being True once that side is in its second phase
-    init = [(q, (), (), False, False) for q in sorted(t.initial, key=_skey)]
+    init = [(q, (), (), False, False) for q in t.initial]
     seen = set(init)
     queue = deque(init)
     transitions = []
@@ -697,7 +665,7 @@ def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> Pair
 def _number_states(initial, transitions_by_state, all_states) -> dict:
     """Stable numbering: breadth-first from the initial states, then any rest."""
     order: dict[State, int] = {}
-    queue = deque(sorted(initial, key=_skey))
+    queue = deque(sorted(initial, key=repr))
     for q in queue:
         order[q] = len(order)
     while queue:
@@ -706,7 +674,7 @@ def _number_states(initial, transitions_by_state, all_states) -> dict:
             if dst not in order:
                 order[dst] = len(order)
                 queue.append(dst)
-    for q in sorted(all_states, key=_skey):
+    for q in sorted(all_states, key=repr):
         if q not in order:
             order[q] = len(order)
     return order
@@ -724,7 +692,7 @@ def nfa_to_json(a: Nfa) -> dict:
     succ: dict[State, list[State]] = {}
     for src, _, dst in a.transitions:
         succ.setdefault(src, []).append(dst)
-    num = _number_states(a.initial, {k: sorted(v, key=_skey) for k, v in succ.items()}, a.states)
+    num = _number_states(a.initial, {k: sorted(v, key=repr) for k, v in succ.items()}, a.states)
     return {
         "type": "nfa",
         "states": len(num),
@@ -741,7 +709,7 @@ def transducer_to_json(t: Transducer) -> dict:
     succ: dict[State, list[State]] = {}
     for src, _, _, dst in t.transitions:
         succ.setdefault(src, []).append(dst)
-    num = _number_states(t.initial, {k: sorted(v, key=_skey) for k, v in succ.items()}, t.states)
+    num = _number_states(t.initial, {k: sorted(v, key=repr) for k, v in succ.items()}, t.states)
     return {
         "type": "transducer",
         "states": len(num),
@@ -756,41 +724,30 @@ def transducer_to_json(t: Transducer) -> dict:
     }
 
 
-def nfa_to_dot(a: Nfa, name: str = "nfa") -> str:
-    data = nfa_to_json(a)
-    lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=circle];"]
+def _dot(name: str, data: dict, arc_label, graph_label: str | None = None) -> str:
+    """DOT text of an exported machine: accepting and initial states, then
+    one edge per transition, labelled by arc_label(*middle fields)."""
+    lines = [f"digraph {name} {{", "  rankdir=LR;"]
+    if graph_label is not None:
+        lines.append(f'  label="{graph_label}";')
+    lines.append("  node [shape=circle];")
     for q in data["accepting"]:
         lines.append(f'  "{q}" [shape=doublecircle];')
     for q in data["initial"]:
         lines.append(f'  "start{q}" [shape=point]; "start{q}" -> "{q}";')
-    for src, sym, dst in data["transitions"]:
-        lines.append(f'  "{src}" -> "{dst}" [label="{sym}"];')
+    for src, *label, dst in data["transitions"]:
+        lines.append(f'  "{src}" -> "{dst}" [label="{arc_label(*label)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def nfa_to_dot(a: Nfa, name: str = "nfa") -> str:
+    return _dot(name, nfa_to_json(a), str)
 
 
 def transducer_to_dot(t: Transducer, name: str = "transducer") -> str:
-    data = transducer_to_json(t)
-    lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=circle];"]
-    for q in data["accepting"]:
-        lines.append(f'  "{q}" [shape=doublecircle];')
-    for q in data["initial"]:
-        lines.append(f'  "start{q}" [shape=point]; "start{q}" -> "{q}";')
-    for src, sym, out, dst in data["transitions"]:
-        label = f"{sym}/{''.join(out) if out else 'eps'}"
-        lines.append(f'  "{src}" -> "{dst}" [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot(name, transducer_to_json(t), lambda sym, out: f"{sym}/{''.join(out) if out else 'eps'}")
 
 
 def pair_automaton_to_dot(p: PairAutomaton, name: str = "pair") -> str:
-    data = nfa_to_json(p.nfa)
-    lines = [f"digraph {name} {{", "  rankdir=LR;", f'  label="direction {p.direction}";', "  node [shape=circle];"]
-    for q in data["accepting"]:
-        lines.append(f'  "{q}" [shape=doublecircle];')
-    for q in data["initial"]:
-        lines.append(f'  "start{q}" [shape=point]; "start{q}" -> "{q}";')
-    for src, sym, dst in data["transitions"]:
-        lines.append(f'  "{src}" -> "{dst}" [label="({sym})"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot(name, nfa_to_json(p.nfa), lambda sym: f"({sym})", f"direction {p.direction}")

@@ -24,14 +24,20 @@ from plactic.core import (
 from plactic.errors import NotInL, OutputError, ParseError, PlacticError, RankError
 
 
+def _positive_int(name: str, text: str) -> int:
+    """A limit given as text; a non-integer or a value below 1 is bad input."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ParseError(f"{name} must be an integer, got {text!r}") from None
+    if value < 1:
+        raise ParseError(f"{name} must be positive, got {value}")
+    return value
+
+
 def _env_int(name: str, default: int) -> int:
     value = os.environ.get(name)
-    if not value:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(f"{name} must be an integer, got {value!r}") from None
+    return _positive_int(name, value) if value else default
 
 
 def cmd_tableau(args) -> int:
@@ -208,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         # only the commands that build a rule table take its budget
         p.add_argument(
             "--pair-budget",
-            type=int,
+            type=lambda text: _positive_int("--pair-budget", text),
             default=_env_int("PLACTIC_PAIR_BUDGET", rewriting.DEFAULT_PAIR_BUDGET),
             help="refuse ranks whose rule table exceeds this many entries",
         )

@@ -31,11 +31,6 @@ DEFAULT_PAIR_BUDGET = 4_000_000
 ORDER_DESCRIPTION = "order: deglex; symbol order: |subscript| desc, then lex"
 
 
-def all_columns(n: int) -> list[Column]:
-    """The 2^n - 1 column generators, shortest subscripts first, then lex."""
-    return list(iter_columns(n))
-
-
 def column_key(c: Column):
     """Sort key realizing the generator order: longer subscripts first,
     ties broken lexicographically."""
@@ -68,11 +63,16 @@ def product_columns(a: Column, b: Column) -> Optional[tuple[Column, ...]]:
 
 @dataclass(frozen=True)
 class RewritingSystem:
+    """A rule table: left side (a, b) to the one or two columns it rewrites to.
+
+    The order of `rules` is the order of every listing made from it (the
+    termination certificate, the overlaps, the basis and the rule exports).
+    `generate_rules` builds it in generator order, by (column_key(a),
+    column_key(b)); a hand-built table is listed as given.
+    """
+
     rank: int
     rules: Mapping[tuple[Column, Column], tuple[Column, ...]]
-
-    def sorted_rules(self) -> list[tuple[tuple[Column, Column], tuple[Column, ...]]]:
-        return sorted(self.rules.items(), key=lambda kv: (column_key(kv[0][0]), column_key(kv[0][1])))
 
 
 def generate_rules(n: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RewritingSystem:
@@ -81,9 +81,10 @@ def generate_rules(n: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RewritingS
     count = (2**n - 1) ** 2
     if count > pair_budget:
         raise ResourceLimit(f"rank {n} needs {count} rule-table entries (budget {pair_budget})")
+    columns = sorted(iter_columns(n), key=column_key)
     rules = {}
-    for a in iter_columns(n):
-        for b in iter_columns(n):
+    for a in columns:
+        for b in columns:
             rhs = product_columns(a, b)
             if rhs is not None:
                 rules[(a, b)] = rhs
@@ -137,7 +138,7 @@ def check_termination(system: RewritingSystem) -> TerminationCertificate:
     certificate listing the per-rule comparison that applied.
     """
     comparisons = []
-    for lhs, rhs in system.sorted_rules():
+    for lhs, rhs in system.rules.items():
         if not word_less(rhs, lhs):
             raise ViolationFound((lhs, rhs))
         reason = "shorter" if len(rhs) < len(lhs) else "first symbol drops"
@@ -167,8 +168,8 @@ def critical_pairs(system: RewritingSystem) -> list[Overlap]:
     for a, b in rules:
         by_first.setdefault(a, []).append(b)
     out = []
-    for (a, b), rhs_ab in system.sorted_rules():
-        for c in sorted(by_first.get(b, []), key=column_key):
+    for (a, b), rhs_ab in system.rules.items():
+        for c in by_first.get(b, ()):
             rhs_bc = rules[(b, c)]
             left = normalize(rhs_ab + (c,), system)
             right = normalize((a,) + rhs_bc, system)
@@ -193,17 +194,13 @@ class GsbBasis:
 
 
 def gsb_export(system: RewritingSystem) -> GsbBasis:
-    """One binomial lhs - rhs per rule; leading terms are the rule left sides
-    and exceed the trailing terms under the declared order."""
+    """One binomial lhs - rhs per rule, in rule order; leading terms are the
+    rule left sides, and check_termination raises ViolationFound unless each
+    exceeds its trailing term under the declared order."""
     check_termination(system)
-    elements = []
-    for lhs, rhs in system.sorted_rules():
-        binom = Binomial(leading=lhs, trailing=rhs)
-        if not word_less(binom.trailing, binom.leading):
-            raise ViolationFound((lhs, rhs), "leading term does not dominate")
-        elements.append(binom)
+    elements = tuple(Binomial(leading=lhs, trailing=rhs) for lhs, rhs in system.rules.items())
     generators = tuple(sorted(iter_columns(system.rank), key=column_key))
-    return GsbBasis(system.rank, generators, ORDER_DESCRIPTION, tuple(elements))
+    return GsbBasis(system.rank, generators, ORDER_DESCRIPTION, elements)
 
 
 def encode_word(w: Word) -> CWord:
@@ -263,14 +260,14 @@ def rules_json(system: RewritingSystem) -> dict:
                 "lhs": [format_word(c, system.rank) for c in lhs],
                 "rhs": [format_word(c, system.rank) for c in rhs],
             }
-            for lhs, rhs in system.sorted_rules()
+            for lhs, rhs in system.rules.items()
         ],
     }
 
 
 def rules_text(system: RewritingSystem) -> str:
     lines = [f"rank: {system.rank}"]
-    for lhs, rhs in system.sorted_rules():
+    for lhs, rhs in system.rules.items():
         left = " ".join(f"c[{format_word(c, system.rank)}]" for c in lhs)
         right = " ".join(f"c[{format_word(c, system.rank)}]" for c in rhs)
         lines.append(f"{left} -> {right}")

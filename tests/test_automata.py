@@ -18,7 +18,6 @@ from plactic.automata import (
     rational_image,
     reverse_relation,
     synchronize,
-    transducer_accepts_pair,
     transducer_outputs,
     transducer_to_json,
     trim,
@@ -126,20 +125,19 @@ def test_transducer_outputs_bound():
 def test_reverse_relation():
     rel = Transducer(ABC, ABC, {0, 1, 2}, {0}, {2}, [(0, "a", (), 1), (1, "b", ("c",), 2)])
     rev = reverse_relation(rel)
-    assert transducer_accepts_pair(rev, ("b", "a"), ("c",))
-    assert not transducer_accepts_pair(rev, ("a", "b"), ("c",))
+    assert ("c",) in transducer_outputs(rev, ("b", "a"))
+    assert ("c",) not in transducer_outputs(rev, ("a", "b"))
     ident = copy_machine()
     back = reverse_relation(ident)
     for w in words_over(ABC, 3):
-        assert transducer_accepts_pair(back, w, w)
+        assert w in transducer_outputs(back, w)
 
 
 def test_double_reversal_is_identity():
     rel = append_machine()
     twice = reverse_relation(reverse_relation(rel))
     for u in words_over(ABC, 3):
-        for v in words_over(ABC, 3):
-            assert transducer_accepts_pair(rel, u, v) == transducer_accepts_pair(twice, u, v)
+        assert transducer_outputs(rel, u) == transducer_outputs(twice, u)
 
 
 def test_compose_relations():
@@ -367,4 +365,4 @@ def test_trim_drops_useless_states():
     t = Transducer(ABC, ABC, {0, 1, 9}, {0}, {1}, [(0, "a", ("a",), 1), (1, "a", (), 9)])
     trimmed = trim(t)
     assert 9 not in trimmed.states
-    assert transducer_accepts_pair(trimmed, ("a",), ("a",))
+    assert ("a",) in transducer_outputs(trimmed, ("a",))

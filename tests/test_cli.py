@@ -193,10 +193,18 @@ def assert_usage_error(code, out, err):
 
 @pytest.mark.parametrize("name", ["PLACTIC_MAX_STATES", "PLACTIC_MAX_CLASS", "PLACTIC_PAIR_BUDGET"])
 def test_non_integer_environment_limit(capsys, monkeypatch, name):
-    monkeypatch.setenv(name, "abc")
-    code, out, err = run(capsys, "verify", "--rank", "1", "--max-len", "1", "core")
+    # a limit that is not a positive integer is bad input, not a resource limit
+    for value in ("abc", "0", "-3"):
+        monkeypatch.setenv(name, value)
+        code, out, err = run(capsys, "verify", "--rank", "1", "--max-len", "1", "core")
+        assert_usage_error(code, out, err)
+        assert name in err
+
+
+def test_non_positive_pair_budget(capsys):
+    code, out, err = run(capsys, "rules", "--rank", "2", "--pair-budget", "0")
     assert_usage_error(code, out, err)
-    assert name in err
+    assert "--pair-budget must be positive" in err
 
 
 def test_machines_honours_state_limit(capsys, monkeypatch):

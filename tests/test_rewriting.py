@@ -9,8 +9,8 @@ from plactic.core import column_ge, iter_columns, tableau_of_word
 from plactic.errors import ParseError, ResourceLimit, ViolationFound
 from plactic.rewriting import (
     RewritingSystem,
-    all_columns,
     check_termination,
+    column_key,
     critical_pairs,
     decode_word,
     encode_word,
@@ -36,9 +36,9 @@ RULE_COUNTS = {1: 0, 2: 3, 3: 22, 4: 115, 5: 531}
 
 
 def test_all_columns():
-    assert all_columns(1) == [(1,)]
-    assert all_columns(2) == [(1,), (2,), (2, 1)]
-    assert len(all_columns(3)) == 7
+    assert list(iter_columns(1)) == [(1,)]
+    assert list(iter_columns(2)) == [(1,), (2,), (2, 1)]
+    assert len(list(iter_columns(3))) == 7
 
 
 def test_product_columns():
@@ -64,6 +64,13 @@ def test_rule_counts_match_incomparable_pairs():
         )
         rs = generate_rules(n)
         assert len(rs.rules) == incomparable == expected
+
+
+def test_rules_are_built_in_generator_order():
+    # every listing of a generated table follows this order without sorting
+    for n in range(1, 6):
+        lhs = list(generate_rules(n).rules)
+        assert lhs == sorted(lhs, key=lambda ab: (column_key(ab[0]), column_key(ab[1])))
 
 
 def test_rule_shape_invariants():
@@ -133,8 +140,9 @@ def test_termination_rank6():
 
 def test_termination_violation():
     bad = RewritingSystem(2, {((2, 1), (2, 1)): ((2,), (1,), (2, 1))})
-    with pytest.raises(ViolationFound):
-        check_termination(bad)
+    for check in (check_termination, gsb_export):
+        with pytest.raises(ViolationFound):
+            check(bad)
 
 
 def test_critical_pairs_converge():
@@ -213,7 +221,7 @@ def test_rules_exports():
 
 @st.composite
 def cwords(draw, rank=4, max_len=6):
-    cols = all_columns(rank)
+    cols = list(iter_columns(rank))
     return tuple(draw(st.sampled_from(cols)) for _ in range(draw(st.integers(0, max_len))))
 
 
