@@ -40,6 +40,14 @@ def _env_int(name: str, default: int) -> int:
     return _positive_int(name, value) if value else default
 
 
+def _pair_budget(args) -> int:
+    """--pair-budget, else PLACTIC_PAIR_BUDGET, else the default; read only
+    by the commands that build a rule table."""
+    if args.pair_budget is not None:
+        return args.pair_budget
+    return _env_int("PLACTIC_PAIR_BUDGET", rewriting.DEFAULT_PAIR_BUDGET)
+
+
 def cmd_tableau(args) -> int:
     word = parse_word(args.word, args.rank)
     if not word:
@@ -55,7 +63,7 @@ def cmd_normalize(args) -> int:
         cword = rewriting.parse_cword(args.word, args.rank)
     else:
         cword = rewriting.encode_word(parse_word(args.word, args.rank))
-    rs = rewriting.generate_rules(args.rank, args.pair_budget)
+    rs = rewriting.generate_rules(args.rank, _pair_budget(args))
     nf = rewriting.normalize(cword, rs)
     print(rewriting.format_cword(nf, args.rank))
     print(format_word(rewriting.decode_word(nf), args.rank))
@@ -108,7 +116,7 @@ def _emit(args, text: str) -> None:
 
 
 def cmd_rules(args) -> int:
-    rs = rewriting.generate_rules(args.rank, args.pair_budget)
+    rs = rewriting.generate_rules(args.rank, _pair_budget(args))
     if args.format == "json":
         _emit(args, json.dumps(rewriting.rules_json(rs), indent=2, sort_keys=True) + "\n")
     else:
@@ -117,7 +125,7 @@ def cmd_rules(args) -> int:
 
 
 def cmd_gsb(args) -> int:
-    basis = rewriting.gsb_export(rewriting.generate_rules(args.rank, args.pair_budget))
+    basis = rewriting.gsb_export(rewriting.generate_rules(args.rank, _pair_budget(args)))
     if args.format == "json":
         _emit(args, json.dumps(rewriting.gsb_json(basis), indent=2, sort_keys=True) + "\n")
     else:
@@ -182,7 +190,7 @@ def cmd_verify(args) -> int:
         thorough=args.thorough,
         max_class_size=_env_int("PLACTIC_MAX_CLASS", 10**6),
         state_limit=_env_int("PLACTIC_MAX_STATES", 10**6),
-        pair_budget=args.pair_budget,
+        pair_budget=_pair_budget(args),
     )
     if args.thorough:
         cfg.rank = max(cfg.rank, 4)
@@ -215,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--pair-budget",
             type=lambda text: _positive_int("--pair-budget", text),
-            default=_env_int("PLACTIC_PAIR_BUDGET", rewriting.DEFAULT_PAIR_BUDGET),
             help="refuse ranks whose rule table exceeds this many entries",
         )
 

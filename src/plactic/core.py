@@ -140,14 +140,6 @@ class Tableau:
         rank = rank if rank is not None else (max(self.column_reading(), default=1))
         return "\n".join(format_word(r, rank) for r in self.rows())
 
-    def to_json_dict(self, rank: int | None = None) -> dict:
-        rank = rank if rank is not None else (max(self.column_reading(), default=1))
-        return {"columns": [format_word(c, rank) for c in self.columns]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict, rank: int) -> "Tableau":
-        return cls.from_columns([parse_word(c, rank) for c in data["columns"]])
-
 
 def _insert(cols, g, trace):
     """Insert g into the column lists `cols` in place (row m counts from the

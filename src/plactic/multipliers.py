@@ -2,10 +2,10 @@
 
 K is the language of column words chained under `column_ge` (exactly the
 normal forms of the column rewriting system); L is its expansion to letter
-words, the column readings of tableaux.  Right multiplication by a letter is
-recognized by a transducer that replays column insertion in one right-to-left
-pass with one-symbol lookahead realized as guess-and-verify states; left
-multiplication needs a single left-to-right pass carrying one pending letter.
+words, the column readings of tableaux.  Both multipliers by a letter are
+built from the rewriting rules: right multiplication is a single right-to-left
+pass carrying one pending column, and left multiplication a single
+left-to-right pass carrying one pending letter.
 Lifting through the column-spelling relation and synchronizing both padded
 encodings yields the four multiplier pair automata per generator.
 """
@@ -25,12 +25,9 @@ from plactic.automata import (
     synchronize,
     trim,
 )
-from plactic.core import Column, check_rank, column_ge, iter_columns
+from plactic.core import check_rank, column_ge, iter_columns
 from plactic.errors import RankError
 from plactic.rewriting import product_columns
-
-START = "start"
-END_CLAIM = None  # claim that the input has no further symbol
 
 
 def build_k_acceptor(n: int) -> Nfa:
@@ -38,155 +35,62 @@ def build_k_acceptor(n: int) -> Nfa:
     every state accepting (the empty word is in K)."""
     check_rank(n)
     cols = list(iter_columns(n))
-    states = [START] + cols
-    transitions = [(START, c, c) for c in cols]
+    states = ["start"] + cols
+    transitions = [("start", c, c) for c in cols]
     transitions += [(a, b, b) for a in cols for b in cols if column_ge(a, b)]
-    return Nfa(cols, states, {START}, set(states), transitions)
-
-
-def _entry(col: Column, m: int) -> int:
-    """Row-m entry of a column (1-based from the bottom)."""
-    return col[len(col) - m]
-
-
-def _cascade(cur: Column, left: Optional[Column], m: int, eta: int, rank: int):
-    """Resolve all insertion steps that touch the column `cur`, given the
-    claimed column to its left (None when `cur` is leftmost).
-
-    Starting state: the letter `eta` wants to enter row m.  Returns
-    (new_column, exit, payload) where exit is one of
-      "done"  - insertion finished inside this column,
-      "ins"   - a bump continues in some column further left at (row, letter),
-      "app"   - a letter must be appended atop a column further left,
-    or None when no valid run matches (the configuration is impossible).
-    """
-    col = list(cur)
-    r, theta = m, eta
-    while True:
-        left_reaches = left is not None and len(left) >= r
-        if left_reaches and _entry(left, r) > theta:
-            # the row-r target is weakly left of the claimed column
-            return tuple(col), "ins", (r, theta)
-        if r <= len(col):
-            e = col[len(col) - r]
-            if e > theta:
-                col[len(col) - r] = theta
-                r, theta = r + 1, e
-                continue
-            return None  # the row-r slot here is too small: no valid run
-        # r == len(col) + 1: the bump climbed past the top of this column
-        if r > rank:
-            return None
-        if left_reaches or left is None:
-            # row r ends just left of here, so theta lands on top of cur
-            if theta <= col[0]:
-                return None
-            return (theta,) + tuple(col), "done", None
-        return tuple(col), "app", (r, theta)
+    return Nfa(cols, states, {"start"}, set(states), transitions)
 
 
 def right_multiplier(n: int, gamma: int) -> Transducer:
-    """Transducer for right multiplication by `gamma` on K.
+    """Transducer for right multiplication by `gamma` on K: a single
+    right-to-left pass carrying one pending column, built from the rewriting
+    rules.
 
-    Built over reversed words (reading the column word right to left, i.e.
-    rightmost column first) and wrapped with `reverse_relation`.  States
-    carry the pending insertion, and the nondeterministic lookahead at the
-    next (leftward) column is a stored claim verified on reading it.
+    Built over reversed words (rightmost column first), so each arc emits its
+    columns right to left, and wrapped with `reverse_relation`.  A carry state
+    holds the column X still to be placed and the last column read.  Reading
+    the next column s applies the rule for the pair (s, X): a comparable pair
+    emits X and s and leaves the rest to the copy phase; otherwise either s is
+    the leftmost column and the whole product is emitted, or the product's
+    left column is carried on and its right column, if any, is emitted.  One
+    pass is enough because each emitted column is `column_ge` the column
+    emitted before it, so the output is the normal form.
     """
     check_rank(n)
     if not 1 <= gamma <= n:
         raise RankError(f"letter {gamma} outside 1..{n}")
     cols = list(iter_columns(n))
-    ge_pairs = {(a, b) for a in cols for b in cols if column_ge(a, b)}
 
-    states = {START, "check_bottom", "end"}
-    transitions = []
+    start = ("carry", (gamma,), None)
+    states = {start, "final"}
+    transitions = [(start, None, ((gamma,),), "final")]
+    work = [start]
 
-    def claims(s: Column):
-        yield END_CLAIM
-        for g in cols:
-            if (g, s) in ge_pairs:
-                yield g
+    def visit(q):
+        if q not in states:
+            states.add(q)
+            work.append(q)
+        return q
 
-    def dispatch(src, s: Column, m: int, eta: int):
-        """Transitions out of `src` that read s and resolve row m for eta."""
-        for g in claims(s):
-            res = _cascade(s, g, m, eta, n)
-            if res is None:
+    while work:
+        q = work.pop()
+        prev = q[-1]
+        for s in cols:
+            if prev is not None and not column_ge(s, prev):
                 continue
-            new_col, exit_, payload = res
-            if exit_ == "done":
-                dst = "end" if g is END_CLAIM else ("copy_v", g)
-            elif exit_ == "ins":
-                if g is END_CLAIM:
-                    continue
-                dst = ("ins",) + payload + (g,)
-            else:  # "app"
-                if g is END_CLAIM:
-                    continue
-                dst = ("app",) + payload + (g,)
-            states.add(dst)
-            transitions.append((src, s, (new_col,), dst))
+            if q[0] == "copy":
+                transitions.append((q, s, (s,), visit(("copy", s))))
+                continue
+            carried = q[1]
+            product = product_columns(s, carried)
+            if product is None:
+                transitions.append((q, s, (carried, s), visit(("copy", s))))
+                continue
+            transitions.append((q, s, product[::-1], "final"))
+            transitions.append((q, s, product[1:], visit(("carry", product[0], s))))
 
-    # new rightmost column: emit c_gamma up front, then verify the bottom
-    # letter of the first column read is <= gamma (or that the input is empty)
-    transitions.append((START, None, ((gamma,),), "check_bottom"))
-    for s in cols:
-        if s[-1] <= gamma:
-            states.add(("copy", s))
-            transitions.append(("check_bottom", s, (s,), ("copy", s)))
-        else:
-            dispatch(START, s, 1, gamma)
-
-    # resolve pending work state by state until no new states appear
-    done = set()
-    while True:
-        pending = [q for q in states if isinstance(q, tuple) and q not in done]
-        if not pending:
-            break
-        for q in pending:
-            done.add(q)
-            kind = q[0]
-            if kind == "ins":
-                _, m, eta, g = q
-                dispatch(q, g, m, eta)
-            elif kind == "app":
-                _, m, eta, g = q
-                if len(g) != m - 1:
-                    continue
-                for g2 in claims(g):
-                    if g2 is END_CLAIM:
-                        if eta > g[0]:
-                            dst = "end"
-                            transitions.append((q, g, ((eta,) + g,), dst))
-                    elif len(g2) >= m:
-                        if _entry(g2, m) > eta:
-                            dst = ("ins", m, eta, g2)
-                            states.add(dst)
-                            transitions.append((q, g, (g,), dst))
-                        elif eta > g[0]:
-                            dst = ("copy_v", g2)
-                            states.add(dst)
-                            transitions.append((q, g, ((eta,) + g,), dst))
-                    else:  # len(g2) == m - 1: the append site is further left
-                        dst = ("app", m, eta, g2)
-                        states.add(dst)
-                        transitions.append((q, g, (g,), dst))
-            elif kind == "copy_v":
-                g = q[1]
-                dst = ("copy", g)
-                states.add(dst)
-                transitions.append((q, g, (g,), dst))
-            elif kind == "copy":
-                p = q[1]
-                for s in cols:
-                    if (s, p) in ge_pairs:
-                        dst = ("copy", s)
-                        states.add(dst)
-                        transitions.append((q, s, (s,), dst))
-
-    accepting = {"end", "check_bottom"} | {q for q in states if isinstance(q, tuple) and q[0] == "copy"}
-    reversed_machine = Transducer(cols, cols, states, {START}, accepting, transitions)
+    accepting = {q for q in states if q == "final" or q[0] == "copy"}
+    reversed_machine = Transducer(cols, cols, states, {start}, accepting, transitions)
     return trim(reverse_relation(reversed_machine))
 
 
@@ -342,14 +246,9 @@ def general_multiplier(n: int, b, side: str = "right") -> Transducer:
     word = tuple(b)
     if not word:
         return identity_multiplier(n)
-    if side == "right":
-        # u -> u b1 b2 ... : apply the b1 multiplier first
-        machine = lifted_multiplier(n, word[0], "right")
-        for x in word[1:]:
-            machine = compose_relations(machine, lifted_multiplier(n, x, "right"))
-        return machine
-    # b1 b2 ... bk u : the bk multiplier applies first
-    machine = lifted_multiplier(n, word[-1], "left")
-    for x in reversed(word[:-1]):
-        machine = compose_relations(machine, lifted_multiplier(n, x, "left"))
+    # the letter next to u applies first: b1 for u b1 ... bk, bk for b1 ... bk u
+    order = word if side == "right" else word[::-1]
+    machine = lifted_multiplier(n, order[0], side)
+    for x in order[1:]:
+        machine = compose_relations(machine, lifted_multiplier(n, x, side))
     return machine

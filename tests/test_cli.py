@@ -201,6 +201,15 @@ def test_non_integer_environment_limit(capsys, monkeypatch, name):
         assert name in err
 
 
+def test_pair_budget_environment_only_where_a_rule_table_is_built(capsys, monkeypatch):
+    # tableau builds no rule table, so a bad PLACTIC_PAIR_BUDGET is never read
+    monkeypatch.setenv("PLACTIC_PAIR_BUDGET", "0")
+    code, out, err = run(capsys, "tableau", "--rank", "2", "21")
+    assert code == 0
+    assert out == "2\n1\n21\n"
+    assert err == ""
+
+
 def test_non_positive_pair_budget(capsys):
     code, out, err = run(capsys, "rules", "--rank", "2", "--pair-budget", "0")
     assert_usage_error(code, out, err)

@@ -230,13 +230,6 @@ def test_parse_and_format():
         parse_word("1x", 4)
 
 
-def test_tableau_json_round_trip():
-    t = tableau_of_word(RUNNING_EXAMPLE)
-    data = t.to_json_dict(6)
-    assert data == {"columns": ["631", "41", "52", "53", "5"]}
-    assert Tableau.from_json_dict(data, 6) == t
-
-
 def test_pretty_planar_form():
     assert tableau_of_word(RUNNING_EXAMPLE).pretty(6) == "6\n3455\n11235"
 

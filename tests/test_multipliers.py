@@ -44,6 +44,13 @@ MINIMAL_STATES = {
     4: {1: (33, 33, 58, 70)},
 }
 
+# states of the column right multiplier and of its lift, by rank and gamma;
+# they guard the size of the carry construction
+RIGHT_MULTIPLIER_STATES = {
+    2: {1: (6, 36), 2: (5, 22)},
+    3: {1: (13, 121), 2: (11, 92), 3: (9, 63)},
+}
+
 # sha256 over the JSON export of every rank-2 and rank-3 pair DFA; the DFAs
 # are minimal and canonically numbered, so equal languages give equal bytes
 PAIR_DFA_SHA256 = "7731fb47f1aed2695ac7f1f4cfffd064e3409708375b07056f8cb377cc436b7d"
@@ -325,14 +332,26 @@ def test_k_acceptor_language_enumerates_tableaux():
 
 
 def test_rank4_multipliers_sampled():
-    rs = generate_rules(4)
-    sample = [t.columns for t in iter_tableaux(4, 3)]
-    for gamma in (1, 4):
-        rm = right_multiplier(4, gamma)
-        lm = left_multiplier(4, gamma)
-        for u in sample:
-            assert transducer_outputs(rm, u) == {normalize(u + ((gamma,),), rs)}
-            assert transducer_outputs(lm, u) == {normalize(((gamma,),) + u, rs)}
+    # rank 4 up to 3 cells and rank 5 up to 4 cells, smallest and largest gamma
+    for rank, max_cells in ((4, 3), (5, 4)):
+        rs = generate_rules(rank)
+        sample = [t.columns for t in iter_tableaux(rank, max_cells)]
+        for gamma in (1, rank):
+            rm = right_multiplier(rank, gamma)
+            lm = left_multiplier(rank, gamma)
+            for u in sample:
+                assert transducer_outputs(rm, u) == {normalize(u + ((gamma,),), rs)}
+                assert transducer_outputs(lm, u) == {normalize(((gamma,),) + u, rs)}
+
+
+def test_right_multiplier_sizes_are_pinned():
+    for rank, by_gamma in RIGHT_MULTIPLIER_STATES.items():
+        for gamma, counts in by_gamma.items():
+            sizes = (
+                len(right_multiplier(rank, gamma).states),
+                len(lifted_multiplier(rank, gamma, "right").states),
+            )
+            assert sizes == counts, (rank, gamma)
 
 
 def test_pair_automata_are_minimal_dfas():
