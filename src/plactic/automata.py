@@ -4,9 +4,13 @@ Symbols and states are arbitrary hashable values; epsilon is represented by
 None.  Machines are immutable after construction and all operations here are
 pure.  `synchronize` turns a rational relation of bounded lag, one whose
 transducer emits as many letters as it reads on every cycle, into the
-minimal deterministic automaton over padded letter pairs.  Its buffer bound
-is the largest lag of any path prefix or suffix of the transducer, which no
-configuration of an accepting run exceeds; a relation of unbounded lag is
+minimal deterministic automaton over padded letter pairs, in five steps:
+trim the transducer; quotient it by forward, then backward bisimulation;
+bound the buffer by the largest lag of any path prefix or suffix, which no
+configuration of an accepting run exceeds; search the configurations of the
+quotient against the pair string; minimize.  A bisimulation quotient keeps
+the relation and the lag of every path, so it shrinks the search and
+changes neither the bound nor the result.  A relation of unbounded lag is
 refused with ValueError.
 """
 
@@ -463,6 +467,53 @@ def _lag_bound(t: Transducer) -> int:
     return max((abs(lag) for _, lag in reached), default=0)
 
 
+def _forward_quotient(t: Transducer) -> Transducer:
+    """t with each class of forward-bisimilar states merged into one state.
+
+    Moore refinement, from the accepting / non-accepting split: two states
+    stay in one block while they have the same set of (input, output word,
+    target block) arcs.  The states of the result are the block numbers.
+    Every member of a block accepts the same relation, so the quotient keeps
+    t's relation, and each path of the quotient lifts to a path of t with
+    the same labels from any member of its first block.
+    """
+    block = {q: int(q in t.accepting) for q in t.states}
+    count = len(set(block.values()))
+    while True:
+        ids: dict[tuple, int] = {}
+        refined = {}
+        for q in t.states:
+            arcs = frozenset((sym, out, block[dst]) for sym, out, dst in t.arcs_from(q))
+            refined[q] = ids.setdefault((block[q], arcs), len(ids))
+        if len(ids) == count:
+            break
+        block, count = refined, len(ids)
+    return Transducer(
+        t.in_alphabet,
+        t.out_alphabet,
+        set(block.values()),
+        {block[q] for q in t.initial},
+        {block[q] for q in t.accepting},
+        [(block[src], sym, out, block[dst]) for src, sym, out, dst in t.transitions],
+    )
+
+
+def _bisimulation_quotient(t: Transducer) -> Transducer:
+    """t quotiented by forward, then by backward bisimulation (the forward
+    refinement of `reverse_relation(t)`, reversed back).
+
+    Each keeps the relation and the lags of every path.  A path of a forward
+    quotient lifts forward from any member of its first block, and a path
+    of a backward quotient lifts backward from any member of its last
+    block, to a path of t with the same labels.  All members of an
+    accepting block accept, and all members of an initial block of a
+    backward quotient are initial, so the lifts of accepting runs and of the
+    path prefixes and suffixes that `_lag_bound` weighs are those of t.
+    """
+    forward = _forward_quotient(t)
+    return reverse_relation(_forward_quotient(reverse_relation(forward)))
+
+
 def _output_prefixes(t: Transducer, bound: int) -> dict[State, set[tuple]]:
     """For each state of t, the words of length <= bound that the output of
     some path from that state begins with (a prefix-closed set)."""
@@ -556,6 +607,12 @@ def _minimal_dfa(a: Nfa) -> Nfa:
 def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> PairAutomaton:
     """Minimal DFA accepting the padded encodings of t's relation.
 
+    The steps: trim t; quotient it by forward, then backward bisimulation
+    (`_bisimulation_quotient`); derive the buffer bound (`_lag_bound`); search
+    the configurations; minimize.  The quotient accepts t's relation, and
+    each of its paths lifts to a path of t with the same labels, so it has
+    the same lags and the same bound, and the drops below stay sound.
+
     Simulates t against the pair string with a buffer of emitted-but-unmatched
     (or awaited) output symbols.  The relation must have bounded lag: every
     cycle of t emits as many letters as it reads, or ValueError is raised.
@@ -581,7 +638,7 @@ def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> Pair
     if direction not in ("R", "L"):
         raise ValueError(f"direction must be 'R' or 'L', got {direction!r}")
     right = direction == "R"
-    t = trim(t)
+    t = _bisimulation_quotient(trim(t))
     bound = _lag_bound(t)
     # no sorting: _minimal_dfa numbers the result the same for any order
     base = list(t.in_alphabet | t.out_alphabet)

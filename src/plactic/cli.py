@@ -155,9 +155,12 @@ def cmd_machines(args) -> int:
     if gamma is not None:
         render_t(f"right_multiplier_col_{gamma}", multipliers.right_multiplier(rank, gamma))
         render_t(f"left_multiplier_col_{gamma}", multipliers.left_multiplier(rank, gamma))
-    for side in ("right", "left"):
-        render_t(f"{side}_multiplier_{gamma or 'eps'}", multipliers.lifted_multiplier(rank, gamma, side))
-    machines = multipliers.multiplier_pair_automata(rank, gamma, _env_int("PLACTIC_MAX_STATES", 10**6))
+    lifted = {side: multipliers.lifted_multiplier(rank, gamma, side) for side in ("right", "left")}
+    for side, machine in lifted.items():
+        render_t(f"{side}_multiplier_{gamma or 'eps'}", machine)
+    machines = multipliers.multiplier_pair_automata(
+        rank, gamma, _env_int("PLACTIC_MAX_STATES", 10**6), lifted=lifted
+    )
     for (side, direction), pa in sorted(machines.items()):
         name = f"pair_{side}_{direction}_{gamma or 'eps'}"
         if args.format == "dot":
@@ -270,7 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, rank_default=3)
     rule_table(p)
     p.add_argument("--max-len", type=int, default=6)
-    p.add_argument("--thorough", action="store_true", help="raise bounds to rank 4, length 7")
+    p.add_argument(
+        "--thorough", action="store_true", help="raise the rank to at least 4 and the length to at least 7"
+    )
     p.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
     p.set_defaults(fn=cmd_verify)
     return parser

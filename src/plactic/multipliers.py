@@ -228,15 +228,21 @@ def lifted_multiplier(n: int, gamma: Optional[int], side: str = "right") -> Tran
 
 
 def multiplier_pair_automata(
-    n: int, gamma: Optional[int], state_limit: int = 10**6
+    n: int,
+    gamma: Optional[int],
+    state_limit: int = 10**6,
+    lifted: Optional[dict[str, Transducer]] = None,
 ) -> dict[tuple[str, str], PairAutomaton]:
     """The four padded multiplier automata for one generator: both sides,
-    both padding directions.  gamma=None gives the empty-generator identity."""
+    both padding directions.  gamma=None gives the empty-generator identity.
+    `lifted` maps each side to its `lifted_multiplier(n, gamma, side)` when
+    the caller has built them already."""
+    if lifted is None:
+        lifted = {side: lifted_multiplier(n, gamma, side) for side in ("right", "left")}
     out: dict[tuple[str, str], PairAutomaton] = {}
     for side in ("right", "left"):
-        lifted = lifted_multiplier(n, gamma, side)
         for direction in ("R", "L"):
-            out[(side, direction)] = synchronize(lifted, direction, state_limit)
+            out[(side, direction)] = synchronize(lifted[side], direction, state_limit)
     return out
 
 

@@ -252,50 +252,53 @@ def format_cword(w: CWord, rank: int) -> str:
     return " ".join("c_" + format_word(c, rank) for c in w)
 
 
+def _labels(rank: int, template: str = "{}") -> dict[Column, str]:
+    """The label of each column of the rank in the exports, its letters
+    formatted once."""
+    return {c: template.format(format_word(c, rank)) for c in iter_columns(rank)}
+
+
 def rules_json(system: RewritingSystem) -> dict:
+    label = _labels(system.rank)
     return {
         "rank": system.rank,
         "rules": [
-            {
-                "lhs": [format_word(c, system.rank) for c in lhs],
-                "rhs": [format_word(c, system.rank) for c in rhs],
-            }
+            {"lhs": [label[c] for c in lhs], "rhs": [label[c] for c in rhs]}
             for lhs, rhs in system.rules.items()
         ],
     }
 
 
 def rules_text(system: RewritingSystem) -> str:
+    label = _labels(system.rank, "c[{}]")
     lines = [f"rank: {system.rank}"]
     for lhs, rhs in system.rules.items():
-        left = " ".join(f"c[{format_word(c, system.rank)}]" for c in lhs)
-        right = " ".join(f"c[{format_word(c, system.rank)}]" for c in rhs)
-        lines.append(f"{left} -> {right}")
+        lines.append(f"{' '.join(label[c] for c in lhs)} -> {' '.join(label[c] for c in rhs)}")
     return "\n".join(lines) + "\n"
 
 
-def _monomial(word: CWord, rank: int) -> str:
-    if not word:
-        return "1"
-    return "*".join(f"c[{format_word(c, rank)}]" for c in word)
-
-
 def gsb_text(basis: GsbBasis) -> str:
+    label = _labels(basis.rank, "c[{}]")
+
+    def monomial(word: CWord) -> str:
+        return "*".join(label[c] for c in word) if word else "1"
+
     lines = [basis.order]
     for el in basis.elements:
-        lines.append(f"{_monomial(el.leading, basis.rank)} - {_monomial(el.trailing, basis.rank)}")
+        lines.append(f"{monomial(el.leading)} - {monomial(el.trailing)}")
     return "\n".join(lines) + "\n"
 
 
 def gsb_json(basis: GsbBasis) -> dict:
+    label = _labels(basis.rank)
     return {
         "rank": basis.rank,
         "order": basis.order,
-        "generators": [format_word(c, basis.rank) for c in basis.generators],
+        "generators": [label[c] for c in basis.generators],
         "binomials": [
             {
-                "leading": [format_word(c, basis.rank) for c in el.leading],
-                "trailing": [format_word(c, basis.rank) for c in el.trailing],
+                "leading": [label[c] for c in el.leading],
+                "trailing": [label[c] for c in el.trailing],
                 "leading_coeff": el.leading_coeff,
                 "trailing_coeff": el.trailing_coeff,
             }

@@ -9,6 +9,7 @@ from plactic.automata import (
     Nfa,
     PairAutomaton,
     Transducer,
+    _bisimulation_quotient,
     _lag_bound,
     compose_relations,
     delta_l,
@@ -366,3 +367,34 @@ def test_trim_drops_useless_states():
     trimmed = trim(t)
     assert 9 not in trimmed.states
     assert ("a",) in transducer_outputs(trimmed, ("a",))
+
+
+def forward_mergeable_machine():
+    # reads a b b* and copies it; x and y are forward bisimilar.  f accepts
+    # and x, y do not, although all three read b and emit it: a merge by
+    # arcs alone would accept (a, a)
+    arcs = [("s", "a", ("a",), "x"), ("s", "a", ("a",), "y"), ("x", "b", ("b",), "f"),
+            ("y", "b", ("b",), "f"), ("f", "b", ("b",), "f")]
+    return Transducer(("a", "b"), ("a", "b"), {"s", "x", "y", "f"}, {"s"}, {"f"}, arcs)
+
+
+def backward_mergeable_machine():
+    # (aa, aab) and (ab, a): x and y are backward bisimilar but not forward
+    arcs = [("s", "a", ("a",), "x"), ("s", "a", ("a",), "y"), ("x", "a", ("a", "b"), "f"),
+            ("y", "b", (), "f")]
+    return Transducer(("a", "b"), ("a", "b"), {"s", "x", "y", "f"}, {"s"}, {"f"}, arcs)
+
+
+def test_bisimulation_quotient_keeps_the_relation():
+    words = words_over(("a", "b"), 4)
+    for t in (forward_mergeable_machine(), backward_mergeable_machine()):
+        q = _bisimulation_quotient(t)
+        for u in words:
+            assert transducer_outputs(q, u) == transducer_outputs(t, u), u
+        assert len(q.states) == 3
+        assert _lag_bound(q) == _lag_bound(t)
+        graph = {(u, v) for u in words for v in transducer_outputs(t, u) if v in words}
+        for direction in "RL":
+            pa = synchronize(t, direction)
+            assert nfa_to_json(synchronize(q, direction).nfa) == nfa_to_json(pa.nfa)
+            assert pa.accepted_pairs(words) == graph, direction

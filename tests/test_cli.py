@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from plactic.cli import main
+from plactic.core import iter_tableaux
 
 
 def run(capsys, *argv):
@@ -140,6 +142,48 @@ def test_verify_core_rank2(capsys):
     code, out, _ = run(capsys, "verify", "--rank", "2", "--max-len", "5", "core")
     assert code == 0
     assert "columns=lnds" in out
+
+
+@pytest.mark.parametrize(
+    "suite, rank, cap", [("multipliers", 6, 5), ("rewriting", 8, 7), ("all", 6, 5)]
+)
+def test_verify_refuses_a_rank_above_a_suite_cap(capsys, suite, rank, cap):
+    code, out, err = run(capsys, "verify", "--rank", str(rank), "--max-len", "1", suite)
+    assert_usage_error(code, out, err)
+    assert f"--rank {cap} at most" in err
+
+
+def test_verify_multipliers_runs_at_the_given_rank(capsys):
+    code, out, _ = run(capsys, "verify", "--rank", "4", "--max-len", "3", "multipliers")
+    assert code == 0
+    cells = len(list(iter_tableaux(4, 3)))
+    assert f"ok   column multipliers match normalization: {2 * 4 * cells} items" in out
+    assert f"ok   lifted multipliers match tableau products: {2 * 5 * cells} items" in out
+    assert f"ok   pair automata agree with the product oracle: {4 * 5 * cells ** 2} items" in out
+    assert out.endswith("PASS\n")
+
+
+def test_verify_core_orders_the_columns_of_the_given_rank(capsys):
+    code, out, _ = run(capsys, "verify", "--rank", "6", "--max-len", "1", "core")
+    assert code == 0
+    assert f"ok   column order is a partial order: {63 ** 3} items" in out
+
+
+# sha256 of the stdout of each rule-table export
+EXPORT_SHA256 = {
+    ("gsb", "8", "text"): "828f5e14b2e04d0f25f09e4057d29f54c961704f6812189544cfb5436da12e59",
+    ("gsb", "6", "text"): "151560d0e995b67f211bf45743094079ad68d6c9f0db2a245d3845f1a349332d",
+    ("gsb", "6", "json"): "19dc6fdde3cf646620c67977bd3fc9fbee229fcd2448b78241f706ffe464fc9a",
+    ("rules", "6", "text"): "42e1e1ff93ebb32a91fc4d4ce00404a9e9752fe830e4839291fc0c1b585006ac",
+    ("rules", "6", "json"): "dcfca19fb3e25d7a14ea3218bada0f2521c2e90e9997a076efe79da005e87b95",
+}
+
+
+@pytest.mark.parametrize("command, rank, fmt", sorted(EXPORT_SHA256))
+def test_rule_table_exports_are_pinned(capsys, command, rank, fmt):
+    code, out, _ = run(capsys, command, "--rank", rank, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPORT_SHA256[command, rank, fmt]
 
 
 def test_large_rank_comma_format(capsys):

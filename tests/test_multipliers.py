@@ -10,6 +10,7 @@ from plactic import verify
 from plactic.automata import (
     Nfa,
     PairAutomaton,
+    _bisimulation_quotient,
     _lag_bound,
     compose_relations,
     delta_l,
@@ -49,6 +50,15 @@ MINIMAL_STATES = {
 RIGHT_MULTIPLIER_STATES = {
     2: {1: (6, 36), 2: (5, 22)},
     3: {1: (13, 121), 2: (11, 92), 3: (9, 63)},
+}
+
+# states of the lifted (right, left) multipliers at rank 3 and of
+# their quotients by bisimulation, which `synchronize` works on
+LIFTED_QUOTIENT_STATES = {
+    None: ((20, 19), (20, 19)),
+    1: ((121, 75), (92, 52)),
+    2: ((92, 55), (101, 61)),
+    3: ((63, 36), (109, 57)),
 }
 
 # sha256 over the JSON export of every rank-2 and rank-3 pair DFA; the DFAs
@@ -256,8 +266,8 @@ def test_verify_reports_a_broken_pair_automaton(monkeypatch):
     real = multiplier_pair_automata
     key = ("right", "R")
 
-    def broken(n, gamma, state_limit=10**6):
-        machines = real(n, gamma, state_limit)
+    def broken(n, gamma, state_limit=10**6, lifted=None):
+        machines = real(n, gamma, state_limit, lifted)
         if gamma == 2:
             a = machines[key].nfa
             accepting = a.accepting - {min(a.accepting)}
@@ -376,12 +386,22 @@ def test_pair_dfa_exports_are_pinned():
 
 def test_lag_bound_of_lifted_multipliers():
     # one column of letters, plus one for the product's extra letter; an R
-    # run that reads its $ before the final epsilon flush holds all n + 1
+    # run that reads its $ before the final epsilon flush holds all n + 1.
+    # The quotient that synchronize works on has the same bound
     for rank in (2, 3, 4):
         for gamma in [None] + list(range(1, rank + 1)):
             for side in ("right", "left"):
-                bound = _lag_bound(lifted_multiplier(rank, gamma, side))
-                assert bound == (0 if gamma is None else rank + 1), (rank, gamma, side)
+                lifted = lifted_multiplier(rank, gamma, side)
+                bounds = (_lag_bound(lifted), _lag_bound(_bisimulation_quotient(lifted)))
+                expected = 0 if gamma is None else rank + 1
+                assert bounds == (expected, expected), (rank, gamma, side)
+
+
+def test_lifted_quotient_sizes_are_pinned():
+    for gamma, sizes in LIFTED_QUOTIENT_STATES.items():
+        for side, counts in zip(("right", "left"), sizes):
+            lifted = lifted_multiplier(3, gamma, side)
+            assert (len(lifted.states), len(_bisimulation_quotient(lifted).states)) == counts
 
 
 def test_machines_export_ignores_hash_seed(tmp_path):
