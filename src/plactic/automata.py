@@ -4,20 +4,26 @@ Symbols and states are arbitrary hashable values; epsilon is represented by
 None.  Machines are immutable after construction and all operations here are
 pure.  `synchronize` turns a rational relation of bounded lag, one whose
 transducer emits as many letters as it reads on every cycle, into the
-minimal deterministic automaton over padded letter pairs, in five steps:
-trim the transducer; quotient it by forward, then backward bisimulation;
-bound the buffer by the largest lag of any path prefix or suffix, which no
-configuration of an accepting run exceeds; search the configurations of the
-quotient against the pair string; minimize.  A bisimulation quotient keeps
-the relation and the lag of every path, so it shrinks the search and
-changes neither the bound nor the result.  A relation of unbounded lag is
-refused with ValueError.
+minimal deterministic automaton over padded letter pairs.  It trims the
+transducer and quotients it by forward, then backward bisimulation; sweeps
+the lags of its path prefixes and suffixes; searches the configurations of
+the quotient against the pair string; and minimizes.  A bisimulation
+quotient keeps the relation and the lag of every path, so it shrinks the
+search and changes neither the lags nor the result.  Everything before the
+search is a property of the transducer alone and is computed once per
+transducer for both padding directions.  The search drops three kinds of
+configuration that lie on no accepting run: a buffer longer than any lag
+of a path prefix or suffix, a lag that no path to acceptance can settle
+within the padding phases left, and an awaited output that the transducer
+can no longer emit.  A relation of unbounded lag is refused with
+ValueError.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import zip_longest
 from typing import Hashable, Iterator, Sequence
 
@@ -142,6 +148,12 @@ class Transducer:
 
     def arcs_from(self, state: State):
         return self._by_state.get(state, ())
+
+    @cached_property
+    def _prepared(self) -> _Prepared:
+        """What `synchronize` derives from this machine for both directions;
+        built at the first call and kept as long as the machine."""
+        return _prepare(self)
 
 
 def transducer_outputs(t: Transducer, u: Sequence[Symbol], bound: int = 10**6) -> set[tuple]:
@@ -425,31 +437,26 @@ class PairAutomaton:
         return accepted
 
 
-def _lag_bound(t: Transducer) -> int:
-    """The largest buffer any configuration on an accepting run of
-    `synchronize` needs for the trimmed transducer t; ValueError when t has
-    a cycle that emits more or fewer letters than it reads.
+def _lags(t: Transducer) -> tuple[set, set, set]:
+    """The (state, lag) pairs of t's path prefixes, of its path suffixes, and
+    of its path suffixes over epsilon arcs alone; ValueError when t has a
+    cycle that emits more or fewer letters than it reads.
 
     An arc weighs len(out) minus the one letter it reads (none for epsilon).
     The prefix lags of a state are the weights of paths to it from an
     initial state, its suffix lags those of paths from it to an accepting
     state.  A simple path weighs at most the sum of all |weights|, so a
     sweep past that sum has gone round an unbalanced cycle.
-
-    A configuration's buffer holds |lag| letters, where lag = letters
-    emitted - right letters read.  On an accepting run for (u, v) at a state
-    with prefix lag a and suffix lag b, a + b = |v| - |u|, and the right
-    word is ahead of the left by k letters, k between 0 and a + b in every
-    padding phase of R and L.  So lag = a - k lies between a and -b, and the
-    largest |lag| of both sweeps caps the buffer without dropping any
-    configuration of an accepting run.
     """
     fwd: dict[State, list[tuple[int, State]]] = {}
     bwd: dict[State, list[tuple[int, State]]] = {}
+    bwd_eps: dict[State, list[tuple[int, State]]] = {}
     for src, sym, out, dst in t.transitions:
         weight = len(out) - (1 if sym is not None else 0)
         fwd.setdefault(src, []).append((weight, dst))
         bwd.setdefault(dst, []).append((weight, src))
+        if sym is None:
+            bwd_eps.setdefault(dst, []).append((weight, src))
     ceiling = sum(abs(w) for arcs in fwd.values() for w, _ in arcs)
 
     def lags(seeds, arcs) -> set:
@@ -463,8 +470,24 @@ def _lag_bound(t: Transducer) -> int:
 
         return _sweep({(q, 0) for q in seeds}, successors)
 
-    reached = lags(t.initial, fwd) | lags(t.accepting, bwd)
-    return max((abs(lag) for _, lag in reached), default=0)
+    return lags(t.initial, fwd), lags(t.accepting, bwd), lags(t.accepting, bwd_eps)
+
+
+def _lag_bound(t: Transducer) -> int:
+    """The largest buffer any configuration on an accepting run of
+    `synchronize` needs for the trimmed transducer t; ValueError when t has
+    a cycle that emits more or fewer letters than it reads (see `_lags`).
+
+    A configuration's buffer holds |lag| letters, where lag = letters
+    emitted - right letters read.  On an accepting run for (u, v) at a state
+    with prefix lag a and suffix lag b, a + b = |v| - |u|, and the right
+    word is ahead of the left by k letters, k between 0 and a + b in every
+    padding phase of R and L.  So lag = a - k lies between a and -b, and the
+    largest |lag| of both sweeps caps the buffer without dropping any
+    configuration of an accepting run.
+    """
+    prefix, suffix, _ = _lags(t)
+    return max((abs(lag) for _, lag in prefix | suffix), default=0)
 
 
 def _forward_quotient(t: Transducer) -> Transducer:
@@ -537,6 +560,67 @@ def _output_prefixes(t: Transducer, bound: int) -> dict[State, set[tuple]]:
     return prefixes
 
 
+@dataclass(frozen=True)
+class _Prepared:
+    """The trimmed bisimulation quotient of a transducer with its buffer
+    bound, the output prefixes each state can still emit, and each state's
+    suffix lags, over all arcs and over epsilon arcs alone."""
+
+    t: Transducer
+    bound: int
+    can_emit: dict[State, set[tuple]]
+    suffix: dict[State, set[int]]
+    eps_suffix: dict[State, set[int]]
+
+
+def _prepare(t: Transducer) -> _Prepared:
+    t = _bisimulation_quotient(trim(t))
+    prefix, suffix, eps_suffix = _lags(t)
+    bound = max((abs(lag) for _, lag in prefix | suffix), default=0)  # _lag_bound(t)
+
+    def by_state(pairs) -> dict[State, set[int]]:
+        lags: dict[State, set[int]] = {}
+        for q, lag in pairs:
+            lags.setdefault(q, set()).add(lag)
+        return lags
+
+    return _Prepared(t, bound, _output_prefixes(t, bound), by_state(suffix), by_state(eps_suffix))
+
+
+def _settling_lags(p: _Prepared, right: bool) -> dict[tuple, set[int]]:
+    """For each (t-state, left flag, right flag) of `synchronize`, the lags
+    d = |produced| - |awaited| from which an accepting run can still settle
+    the buffer; a configuration with any other lag lies on no accepting run.
+
+    From a configuration on an accepting run, the rest of the run follows a
+    path of t from its state to an accepting one.  It reads l more left and
+    r more right letters, t emits E letters, and the buffer ends empty, so
+    d + E = r.  The path weighs b = E - l, one of the state's suffix lags,
+    so r - l = d + b, and the flags bound r - l:
+    - R, left closed: the left reads only $, so l = 0 <= r, and t follows
+      epsilon arcs alone, so d + b >= 0 for a suffix lag b over epsilon arcs;
+    - R, right closed: r = 0 <= l, so d + b <= 0;
+    - R, both closed: r = l = 0 (no configuration has these flags, as no
+      pair letter is ($, $));
+    - L: the words end together, and a side in its second phase reads a
+      letter at every step left.  Right side alone reading: r >= l, so
+      d + b >= 0.  Left side alone: l >= r, so d + b <= 0.  Both: r = l,
+      so d + b = 0;
+    - neither flag set: no bound.
+    """
+    span = range(-p.bound, p.bound + 1)
+    unbounded = set(span)
+    out: dict[tuple, set[int]] = {}
+    for q, lags in p.suffix.items():
+        # the b where the flags give r >= l: over epsilon arcs under R
+        late = p.eps_suffix.get(q, set()) if right else lags
+        out[q, False, False] = unbounded
+        out[q, right, not right] = {d for d in span for b in late if d + b >= 0}  # r >= l
+        out[q, not right, right] = {d for d in span for b in lags if d + b <= 0}  # r <= l
+        out[q, True, True] = {-b for b in late}  # r = l
+    return out
+
+
 def _minimal_dfa(a: Nfa) -> Nfa:
     """The trim minimal DFA of a's language, as an Nfa with states 0..n-1.
 
@@ -546,28 +630,33 @@ def _minimal_dfa(a: Nfa) -> Nfa:
     from the initial state 0 over the repr-sorted alphabet, so equal languages
     give equal machines.
     """
-    letters = sorted(a.alphabet, key=repr)
+    order = {sym: i for i, sym in enumerate(sorted(a.alphabet, key=repr))}
     back: dict[State, list[State]] = {}
     for src, _, dst in a.transitions:
         back.setdefault(dst, []).append(src)
     live = _sweep(a.accepting, lambda q: back.get(q, ()))
+    # the letters on arcs from each state into a co-reachable one
+    leaving: dict[State, set[Symbol]] = {}
+    for src, sym, dst in a.transitions:
+        if sym is not None and dst in live:
+            leaving.setdefault(src, set()).add(sym)
     # subset construction over the co-reachable states: a path into one runs
     # through co-reachable states only.  subsets[i] is the frontier of DFA
     # state i (an empty language leaves the one empty frontier, a lone
-    # rejecting state)
+    # rejecting state).  Only letters leaving the frontier lead anywhere;
+    # they are tried in the sorted order, and each row lists its arcs in it
     start = a.start_set() & live
     subsets = [start]
     index = {start: 0}
     delta: list[dict[Symbol, int]] = []
     for frontier in subsets:
         row = {}
-        for sym in letters:
+        for sym in sorted(set().union(*(leaving.get(q, ()) for q in frontier)), key=order.get):
             nxt = a.move(frontier, sym) & live
-            if nxt:
-                if nxt not in index:
-                    index[nxt] = len(subsets)
-                    subsets.append(nxt)
-                row[sym] = index[nxt]
+            if nxt not in index:
+                index[nxt] = len(subsets)
+                subsets.append(nxt)
+            row[sym] = index[nxt]
         delta.append(row)
 
     # Moore refinement, from the accepting / non-accepting split
@@ -578,7 +667,7 @@ def _minimal_dfa(a: Nfa) -> Nfa:
         ids: dict[tuple, int] = {}
         refined = []
         for i, row in enumerate(delta):
-            signature = (block[i],) + tuple(block[row[s]] if s in row else -1 for s in letters)
+            signature = (block[i],) + tuple((s, block[d]) for s, d in row.items())
             refined.append(ids.setdefault(signature, len(ids)))
         if len(ids) == count:
             break
@@ -589,18 +678,16 @@ def _minimal_dfa(a: Nfa) -> Nfa:
     for i, b in enumerate(block):
         rep.setdefault(b, i)
     number = {block[0]: 0}
-    order = [block[0]]
+    blocks = [block[0]]
     transitions = []
-    for b in order:
-        row = delta[rep[b]]
-        for sym in letters:
-            if sym in row:
-                c = block[row[sym]]
-                if c not in number:
-                    number[c] = len(number)
-                    order.append(c)
-                transitions.append((number[b], sym, number[c]))
-    accepting = {number[b] for b in order if final[rep[b]]}
+    for b in blocks:
+        for sym, dst in delta[rep[b]].items():
+            c = block[dst]
+            if c not in number:
+                number[c] = len(number)
+                blocks.append(c)
+            transitions.append((number[b], sym, number[c]))
+    accepting = {number[b] for b in blocks if final[rep[b]]}
     return Nfa(a.alphabet, range(len(number)), {0}, accepting, transitions)
 
 
@@ -608,20 +695,28 @@ def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> Pair
     """Minimal DFA accepting the padded encodings of t's relation.
 
     The steps: trim t; quotient it by forward, then backward bisimulation
-    (`_bisimulation_quotient`); derive the buffer bound (`_lag_bound`); search
-    the configurations; minimize.  The quotient accepts t's relation, and
-    each of its paths lifts to a path of t with the same labels, so it has
-    the same lags and the same bound, and the drops below stay sound.
+    (`_bisimulation_quotient`); sweep the quotient's lags (`_lags`) for the
+    buffer bound and each state's suffix lags; collect the outputs each
+    state can still emit; search the configurations; minimize.  All steps
+    before the search depend on t alone, so they run once per transducer
+    (`Transducer._prepared`) and its R and L machines share them.  The
+    quotient accepts t's relation, and each of its paths lifts to a path of
+    t with the same labels, so it has the same lags and the same bound, and
+    the drops below stay sound.
 
     Simulates t against the pair string with a buffer of emitted-but-unmatched
     (or awaited) output symbols.  The relation must have bounded lag: every
     cycle of t emits as many letters as it reads, or ValueError is raised.
-    Two drops keep the search finite, and both are sound by construction.  A
-    configuration whose buffer exceeds `_lag_bound(t)` lies on no accepting
-    run (see `_lag_bound`).  A configuration whose awaited queue is not a
-    prefix of any output its t-state can still emit can never empty the
-    queue.  Construction aborts with ResourceLimit past `state_limit`
-    configurations.
+    Three drops keep the search to configurations that can still accept, and
+    each is sound by construction: it removes only configurations that lie
+    on no accepting run.  A buffer longer than `_lag_bound(t)` lies on none
+    (see `_lag_bound`).  A lag d = |produced| - |awaited| that no path from
+    the t-state to acceptance can settle within the phases its flags leave
+    lies on none (see `_settling_lags`).  An awaited queue that is not a
+    prefix of any output its t-state can still emit can never be emptied;
+    a right letter that makes the queue such a word is not tried at all,
+    since whatever t emits next must begin with it.  Construction aborts
+    with ResourceLimit past `state_limit` configurations.
 
     Each side of the pair string has two phases.  A side enters its second
     phase at its first $ under R, or at its first letter under L, and after
@@ -638,12 +733,12 @@ def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> Pair
     if direction not in ("R", "L"):
         raise ValueError(f"direction must be 'R' or 'L', got {direction!r}")
     right = direction == "R"
-    t = _bisimulation_quotient(trim(t))
-    bound = _lag_bound(t)
+    prep = t._prepared
+    t, bound, can_emit = prep.t, prep.bound, prep.can_emit
+    settles = _settling_lags(prep, right)
     # no sorting: _minimal_dfa numbers the result the same for any order
     base = list(t.in_alphabet | t.out_alphabet)
     letters = [(x, y) for x in base + [PAD] for y in base + [PAD] if (x, y) != (PAD, PAD)]
-    can_emit = _output_prefixes(t, bound)
 
     def phase(flag, pad):
         # the side's new flag, or None when it may not read this symbol
@@ -669,6 +764,8 @@ def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> Pair
         # letter the awaited queue may transiently exceed the bound
         if len(prod) > bound or len(owed) > bound:
             return
+        if len(prod) - len(owed) not in settles[dst, fl, fr]:
+            return  # no accepting run can settle this lag
         if owed not in can_emit[dst]:
             return  # t can never emit the awaited queue: no accepting run
         nxt = (dst, prod, owed, fl, fr)
@@ -709,6 +806,9 @@ def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> Pair
                 prod2, owed2 = prod[1:], owed
             else:
                 prod2, owed2 = prod, owed + (y,)
+                # whatever t emits next, from q on, must begin with owed2
+                if owed2[:bound] not in can_emit[q]:
+                    continue
             for x, out, dst, nfl in lefts:
                 if nfl is not None and (x, y) != (PAD, PAD):
                     store(cfg, (x, y), out, dst, prod2, owed2, nfl, nfr)

@@ -194,6 +194,45 @@ def test_synchronize_matches_outputs():
                 assert pa.accepts_pair(u, v) == (v in expected)
 
 
+def mixed_lag_machine():
+    # copies a word, then deletes an a and copies b*, or turns a b into ab,
+    # copies a* and may emit a b after the input ends.  The start state has
+    # suffix lags -1, 1 and 2; the copy of a* has 0 and 1, and only those
+    # over epsilon arcs
+    sigma = ("a", "b")
+    arcs = [(0, x, (x,), 0) for x in sigma] + [
+        (0, "a", (), 1), (1, "b", ("b",), 1),
+        (0, "b", ("a", "b"), 2), (2, "a", ("a",), 2),
+        (2, None, ("b",), 3),
+    ]
+    return Transducer(sigma, sigma, {0, 1, 2, 3}, {0}, {1, 2, 3}, arcs)
+
+
+def rotate_machine():
+    # x w -> w x for a letter x: it deletes x first and emits it after the
+    # input ends, so the buffer runs one letter behind throughout
+    sigma = ("a", "b")
+    arcs = [(0, x, (), x) for x in sigma]
+    arcs += [(x, y, (y,), x) for x in sigma for y in sigma]
+    arcs += [(x, None, (x,), "end") for x in sigma]
+    return Transducer(sigma, sigma, {0, "a", "b", "end"}, {0}, {"end"}, arcs)
+
+
+def test_synchronize_matches_outputs_of_mixed_lag():
+    # buffers that run ahead and behind, in every padding phase of R and L
+    words = words_over(("a", "b"), 4)
+    machines = [mixed_lag_machine(), rotate_machine(), drop_last_machine(("a", "b")),
+                append_two_machine()]
+    for t in machines:
+        outputs = {u: transducer_outputs(t, u) for u in words}
+        graph = {(u, v) for u, vs in outputs.items() for v in vs if len(v) <= 4}
+        for direction in "RL":
+            pa = synchronize(t, direction)
+            assert pa.accepted_pairs(words) == graph, direction
+            for u, vs in outputs.items():
+                assert all(pa.accepts_pair(u, v) for v in vs), (direction, u)
+
+
 def test_synchronize_returns_trim_minimal_dfa():
     machines = [copy_machine(("a",)), copy_machine(), append_machine(), append_machine(sigma=("a", "b"))]
     for t in machines:

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from plactic import verify
+from plactic import automata, verify
 from plactic.automata import (
     Nfa,
     PairAutomaton,
@@ -64,6 +64,13 @@ LIFTED_QUOTIENT_STATES = {
 # sha256 over the JSON export of every rank-2 and rank-3 pair DFA; the DFAs
 # are minimal and canonically numbered, so equal languages give equal bytes
 PAIR_DFA_SHA256 = "7731fb47f1aed2695ac7f1f4cfffd064e3409708375b07056f8cb377cc436b7d"
+
+# the same digest over every rank-4 pair DFA
+PAIR_DFA_RANK4_SHA256 = "c0738dbec4b5751ae4923026a65a8a653f1872050f661814eb85b99924bb3f23"
+
+# configurations `synchronize` builds for the 16 rank-3 pair automata, and
+# how many of them can reach acceptance
+RANK3_CONFIGURATIONS = (1425, 1288)
 
 
 def k_words(rank, max_cells):
@@ -373,15 +380,46 @@ def test_pair_automata_are_minimal_dfas():
                 assert oracles.dfa_contract_violations(machines[key].nfa) == [], (rank, gamma, key)
 
 
-def test_pair_dfa_exports_are_pinned():
+def pair_dfa_digest(ranks):
     digest = hashlib.sha256()
-    for rank in (2, 3):
+    for rank in ranks:
         for gamma in [None] + list(range(1, rank + 1)):
             machines = multiplier_pair_automata(rank, gamma)
             for key in sorted(machines):
                 digest.update(json.dumps(nfa_to_json(machines[key].nfa), sort_keys=True).encode())
                 digest.update(b"\n")
-    assert digest.hexdigest() == PAIR_DFA_SHA256
+    return digest.hexdigest()
+
+
+def test_pair_dfa_exports_are_pinned():
+    assert pair_dfa_digest((2, 3)) == PAIR_DFA_SHA256
+
+
+def test_rank4_pair_dfa_exports_are_pinned():
+    assert pair_dfa_digest((4,)) == PAIR_DFA_RANK4_SHA256
+
+
+def test_synchronize_builds_few_dead_configurations(monkeypatch):
+    # count the configuration graphs handed to minimization, and the
+    # bisimulation quotients: R and L on one transducer share its quotient
+    built, live, quotients = [], [], []
+    minimal_dfa, quotient = automata._minimal_dfa, automata._bisimulation_quotient
+
+    def record(a):
+        back = {}
+        for src, _, dst in a.transitions:
+            back.setdefault(dst, []).append(src)
+        built.append(len(a.states))
+        live.append(len(automata._sweep(a.accepting, lambda q: back.get(q, ()))))
+        return minimal_dfa(a)
+
+    monkeypatch.setattr(automata, "_minimal_dfa", record)
+    monkeypatch.setattr(automata, "_bisimulation_quotient", lambda t: quotients.append(t) or quotient(t))
+    for gamma in (None, 1, 2, 3):
+        multiplier_pair_automata(3, gamma)
+    assert (len(built), len(quotients)) == (16, 8)
+    assert (sum(built), sum(live)) == RANK3_CONFIGURATIONS
+    assert sum(built) <= 1.2 * sum(live)
 
 
 def test_lag_bound_of_lifted_multipliers():
