@@ -10,11 +10,12 @@ as a binomial basis of the free algebra on the column generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from plactic.core import (
     Column,
     Word,
+    _insert,
     check_rank,
     column_ge,
     format_word,
@@ -75,8 +76,33 @@ class RewritingSystem:
     rules: Mapping[tuple[Column, Column], tuple[Column, ...]]
 
 
+def _row_products(a: Column, n: int) -> dict[Column, tuple[Column, ...]]:
+    """The columns of the tableau of ab for every column b over 1..n that a
+    is incomparable with.
+
+    One depth-first walk over the trie of columns: the children of b are
+    b + (x,) for each x < b[-1], and each child inserts its one new letter
+    into a copy of its parent's tableau.  Insertion is letter by letter, so
+    this is Schensted insertion of a + b, and a strictly decreasing a
+    inserts as the single column a.
+    """
+    out = {}
+
+    def walk(b: Column, cols: list[list[int]]) -> None:
+        if b and not column_ge(a, b):
+            out[b] = tuple(tuple(c) for c in cols)
+        for x in range(1, b[-1] if b else n + 1):
+            child = [c[:] for c in cols]
+            _insert(child, x, None)
+            walk(b + (x,), child)
+
+    walk((), [list(a)])
+    return out
+
+
 def generate_rules(n: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RewritingSystem:
-    """One rule per ordered incomparable pair of columns."""
+    """One rule per ordered incomparable pair of columns; each left column's
+    row of the table comes from one insertion walk (`_row_products`)."""
     check_rank(n)
     count = (2**n - 1) ** 2
     if count > pair_budget:
@@ -84,8 +110,9 @@ def generate_rules(n: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RewritingS
     columns = sorted(iter_columns(n), key=column_key)
     rules = {}
     for a in columns:
+        row = _row_products(a, n)
         for b in columns:
-            rhs = product_columns(a, b)
+            rhs = row.get(b)
             if rhs is not None:
                 rules[(a, b)] = rhs
     return RewritingSystem(n, rules)
@@ -157,9 +184,9 @@ class Overlap:
         return self.left_result == self.right_result
 
 
-def critical_pairs(system: RewritingSystem) -> list[Overlap]:
-    """All overlap words c_a c_b c_c with both pairs reducible, with the
-    normal forms of the two one-step descendants.
+def critical_pairs(system: RewritingSystem) -> Iterator[Overlap]:
+    """Each overlap word c_a c_b c_c with both pairs reducible, with the
+    normal forms of the two one-step descendants, yielded in rule order.
 
     Left-hand sides all have length two, so these are the only overlaps.
     """
@@ -167,14 +194,12 @@ def critical_pairs(system: RewritingSystem) -> list[Overlap]:
     by_first: dict[Column, list[Column]] = {}
     for a, b in rules:
         by_first.setdefault(a, []).append(b)
-    out = []
     for (a, b), rhs_ab in system.rules.items():
         for c in by_first.get(b, ()):
             rhs_bc = rules[(b, c)]
             left = normalize(rhs_ab + (c,), system)
             right = normalize((a,) + rhs_bc, system)
-            out.append(Overlap((a, b, c), left, right))
-    return out
+            yield Overlap((a, b, c), left, right)
 
 
 @dataclass(frozen=True)

@@ -152,9 +152,13 @@ def verify_rewriting(cfg: Config) -> Report:
         cert = rewriting.check_termination(rs)
         rep.lines.append(f"ok   rank {n}: termination certificate over {cert.rule_count} rules")
 
-        overlaps = rewriting.critical_pairs(rs)
-        bad = [o for o in overlaps if not o.converged]
-        rep.check(f"rank {n}: critical pairs converge", len(overlaps), bad)
+        count = 0
+        bad = []
+        for o in rewriting.critical_pairs(rs):
+            count += 1
+            if not o.converged:
+                bad.append(o)
+        rep.check(f"rank {n}: critical pairs converge", count, bad)
 
     rs = rewriting.generate_rules(cfg.rank, cfg.pair_budget)
     words = _words(cfg.rank, cfg.max_len)

@@ -115,7 +115,7 @@ def test_criterion_04_rewriting_completeness():
             assert len(rs.rules) == RULE_COUNTS[rank]
             cert = check_termination(rs)
             assert cert.rule_count == RULE_COUNTS[rank]
-            overlaps = critical_pairs(rs)
+            overlaps = list(critical_pairs(rs))
             assert all(o.converged for o in overlaps)
             if rank == 1:
                 assert overlaps == []
