@@ -276,49 +276,6 @@ def compose_relations(s: Transducer, t: Transducer) -> Transducer:
     return trim(composed)
 
 
-def rational_image(t: Transducer, m: Nfa) -> Nfa:
-    """The image of a regular language under a rational relation, as an NFA
-    over the transducer's output alphabet."""
-    m_eps: dict[State, list[State]] = {}
-    m_step: dict[State, list[tuple[Symbol, State]]] = {}
-    for src, sym, dst in m.transitions:
-        if sym is None:
-            m_eps.setdefault(src, []).append(dst)
-        else:
-            m_step.setdefault(src, []).append((sym, dst))
-
-    start = [(p, q, ()) for p in m.initial for q in t.initial]
-    seen = set(start)
-    queue = deque(start)
-    transitions = []
-    while queue:
-        state = queue.popleft()
-        p, q, pending = state
-
-        def push(sym, nxt):
-            transitions.append((state, sym, nxt))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-
-        if pending:
-            push(pending[0], (p, q, pending[1:]))
-            continue
-        for p2 in m_eps.get(p, ()):
-            push(None, (p2, q, ()))
-        for sym, out, q2 in t.arcs_from(q):
-            if sym is None:
-                push(None, (p, q2, tuple(out)))
-            else:
-                for x, p2 in m_step.get(p, ()):
-                    if x == sym:
-                        push(None, (p2, q2, tuple(out)))
-    accepting = {
-        (p, q, pend) for (p, q, pend) in seen if pend == () and p in m.accepting and q in t.accepting
-    }
-    return Nfa(t.out_alphabet, seen, set(start), accepting, transitions)
-
-
 # -- padded pair encodings ----------------------------------------------
 
 

@@ -76,10 +76,11 @@ def cmd_multiply(args) -> int:
     gamma = parse_word(args.gamma, rank)
     if len(gamma) != 1:
         raise ParseError(f"generator must be a single letter, got {args.gamma!r}")
-    if not multipliers.build_l_acceptor(rank).accepts(u):
-        raise NotInL(f"{args.word!r} is not a column reading of a tableau")
     machine = multipliers.lifted_multiplier(rank, gamma[0], args.side)
+    # the lifted multiplier's domain is exactly L
     outputs = automata.transducer_outputs(machine, u)
+    if not outputs:
+        raise NotInL(f"{args.word!r} is not a column reading of a tableau")
     if len(outputs) != 1:
         print(f"internal error: multiplier produced {len(outputs)} outputs", file=sys.stderr)
         return 1

@@ -6,13 +6,14 @@ words, the column readings of tableaux.  Both multipliers by a letter are
 built from the rewriting rules: right multiplication is a single right-to-left
 pass carrying one pending column, and left multiplication a single
 left-to-right pass carrying one pending letter.
-Lifting through the column-spelling relation and synchronizing both padded
-encodings yields the four multiplier pair automata per generator.
+Each is lifted to letters in one spelling pass, which reads a column letter
+by letter before firing the column multiplier's arc on it and writes the
+output columns letter by letter; synchronizing both padded encodings of the
+lift yields the four multiplier pair automata per generator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from plactic.automata import (
@@ -20,7 +21,6 @@ from plactic.automata import (
     PairAutomaton,
     Transducer,
     compose_relations,
-    rational_image,
     reverse_relation,
     synchronize,
     trim,
@@ -101,118 +101,98 @@ def left_multiplier(n: int, gamma: int) -> Transducer:
     if not 1 <= gamma <= n:
         raise RankError(f"letter {gamma} outside 1..{n}")
     cols = list(iter_columns(n))
-    ge_pairs = {(a, b) for a in cols for b in cols if column_ge(a, b)}
 
-    states = {"final"}
+    start = ("pend", gamma, None)
+    states = {start, "final"}
     transitions = []
+    work = [start]
 
-    def pend(eta, prev):
-        q = ("pend", eta, prev)
-        states.add(q)
-        return q
-
-    def copy(prev):
-        q = ("copy", prev)
-        states.add(q)
-        return q
-
-    start = pend(gamma, None)
-    for eta in range(1, n + 1):
-        for prev in [None] + cols:
-            q = ("pend", eta, prev)
+    def visit(q):
+        if q not in states:
             states.add(q)
-            transitions.append((q, None, ((eta,),), "final"))
-            for s in cols:
-                if prev is not None and (prev, s) not in ge_pairs:
-                    continue
-                product = product_columns((eta,), s)
-                if product is None:
-                    transitions.append((q, s, ((eta,), s), copy(s)))
-                elif len(product) == 1:
-                    transitions.append((q, s, (product[0],), copy(s)))
-                else:
-                    new_left, bumped = product
-                    if len(bumped) != 1:
-                        raise AssertionError("right column of a letter product must be a letter")
-                    transitions.append((q, s, (new_left,), pend(bumped[0], s)))
-    for prev in cols:
-        q = ("copy", prev)
-        states.add(q)
+            work.append(q)
+        return q
+
+    while work:
+        q = work.pop()
+        prev = q[-1]
+        if q[0] == "pend":
+            transitions.append((q, None, ((q[1],),), "final"))
         for s in cols:
-            if (prev, s) in ge_pairs:
-                transitions.append((q, s, (s,), copy(s)))
+            if prev is not None and not column_ge(prev, s):
+                continue
+            if q[0] == "copy":
+                transitions.append((q, s, (s,), visit(("copy", s))))
+                continue
+            eta = q[1]
+            product = product_columns((eta,), s)
+            if product is None:
+                transitions.append((q, s, ((eta,), s), visit(("copy", s))))
+            elif len(product) == 1:
+                transitions.append((q, s, (product[0],), visit(("copy", s))))
+            else:
+                new_left, bumped = product
+                if len(bumped) != 1:
+                    raise AssertionError("right column of a letter product must be a letter")
+                transitions.append((q, s, (new_left,), visit(("pend", bumped[0], s))))
 
-    accepting = {"final"} | {q for q in states if isinstance(q, tuple) and q[0] == "copy"}
-    machine = Transducer(cols, cols, states, {start}, accepting, transitions)
-    return trim(machine)
-
-
-@dataclass(frozen=True)
-class QRelation:
-    """The column-spelling relation and its inverse.
-
-    forward maps each column symbol to its letters; inverse nondeterministically
-    factors a letter word into columns (any factorization, not only the chained
-    one - the middle relation of a lift constrains both ends to K anyway).
-    """
-
-    rank: int
-    forward: Transducer
-    inverse: Transducer
-
-
-def build_q(n: int) -> QRelation:
-    check_rank(n)
-    cols = list(iter_columns(n))
-    letters = list(range(1, n + 1))
-
-    forward = Transducer(
-        cols,
-        letters,
-        {"q"},
-        {"q"},
-        {"q"},
-        [("q", c, c, "q") for c in cols],
-    )
-
-    # inverse: grow a strictly decreasing partial column, close it anytime
-    states = {()} | {c for c in cols}
-    transitions = []
-    for x in letters:
-        transitions.append(((), x, (), (x,)))
-    for p in cols:
-        for x in letters:
-            if x < p[-1]:
-                transitions.append((p, x, (), p + (x,)))
-        transitions.append((p, None, (p,), ()))
-    inverse = Transducer(letters, cols, states, {()}, {()}, transitions)
-    return QRelation(n, forward, inverse)
+    accepting = {q for q in states if q == "final" or q[0] == "copy"}
+    return trim(Transducer(cols, cols, states, {start}, accepting, transitions))
 
 
 def build_l_acceptor(n: int) -> Nfa:
-    """Acceptor for L, the column readings of tableaux: the image of K under
-    the column-spelling relation."""
-    q = build_q(n)
-    return rational_image(q.forward, build_k_acceptor(n))
+    """Acceptor for L, the column readings of tableaux: each arc of the K
+    acceptor spelled as a chain of letters.  State (c, j) has read the first
+    j letters of column c; the chain ends in the state c."""
+    k = build_k_acceptor(n)
+    transitions = []
+    for src, c, dst in k.transitions:
+        chain = [src] + [(c, j) for j in range(1, len(c))] + [dst]
+        transitions += [(a, x, b) for a, x, b in zip(chain, c, chain[1:])]
+    states = k.states | {(c, j) for c in k.alphabet for j in range(1, len(c))}
+    return Nfa(range(1, n + 1), states, k.initial, k.accepting, transitions)
 
 
-def lift_multiplier(t: Transducer, q: QRelation) -> Transducer:
-    """Conjugate a multiplier over column symbols into one over letters."""
-    return compose_relations(compose_relations(q.inverse, t), q.forward)
+def _spelled(t: Transducer, n: int) -> Transducer:
+    """The relation of t over columns, read and written in letters: a letter
+    word relates to the spelling of each t-output of each factorization of
+    the word into columns.
+
+    State (r, p) is at state r of t and has read the strictly decreasing
+    letters p of the next column.  A smaller letter extends p; an epsilon
+    arc closes p and fires one of r's arcs on the column p, emitting its
+    output columns letter by letter.  t's own epsilon arcs fire only
+    between columns (p empty).  Only the reachable states are built.
+    """
+    start = [(r, ()) for r in t.initial]
+    states = set(start)
+    transitions = []
+    work = list(start)
+    while work:
+        q = work.pop()
+        r, p = q
+        nexts = [(x, (), (r, p + (x,))) for x in range(1, p[-1] if p else n + 1)]
+        nexts += [
+            (None, tuple(x for col in out for x in col), (r2, ()))
+            for sym, out, r2 in t.arcs_from(r)
+            if sym == (p or None)
+        ]
+        for sym, out, dst in nexts:
+            transitions.append((q, sym, out, dst))
+            if dst not in states:
+                states.add(dst)
+                work.append(dst)
+    letters = range(1, n + 1)
+    accepting = {(r, ()) for r in t.accepting} & states
+    return trim(Transducer(letters, letters, states, start, accepting, transitions))
 
 
 def identity_multiplier(n: int) -> Transducer:
     """The identity relation on L (the empty-generator multiplier)."""
     accept = build_l_acceptor(n)
-    transitions = []
-    for src, sym, dst in accept.transitions:
-        if sym is None:
-            transitions.append((src, None, (), dst))
-        else:
-            transitions.append((src, sym, (sym,), dst))
-    letters = list(range(1, n + 1))
-    return trim(
-        Transducer(letters, letters, accept.states, accept.initial, accept.accepting, transitions)
+    transitions = [(src, x, (x,), dst) for src, x, dst in accept.transitions]
+    return Transducer(
+        accept.alphabet, accept.alphabet, accept.states, accept.initial, accept.accepting, transitions
     )
 
 
@@ -222,9 +202,8 @@ def lifted_multiplier(n: int, gamma: Optional[int], side: str = "right") -> Tran
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     if gamma is None:
         return identity_multiplier(n)
-    q = build_q(n)
     base = right_multiplier(n, gamma) if side == "right" else left_multiplier(n, gamma)
-    return lift_multiplier(base, q)
+    return _spelled(base, n)
 
 
 def multiplier_pair_automata(

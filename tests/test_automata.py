@@ -16,7 +16,6 @@ from plactic.automata import (
     delta_r,
     enumerate_accepted,
     nfa_to_json,
-    rational_image,
     reverse_relation,
     synchronize,
     transducer_outputs,
@@ -152,16 +151,6 @@ def test_compose_relations():
     single_s = Transducer(ABC, ABC, {0, 1}, {0}, {1}, [(0, "a", ("b",), 1)])
     single_t = Transducer(ABC, ABC, {0, 1}, {0}, {1}, [(0, "b", ("c",), 1)])
     assert transducer_outputs(compose_relations(single_s, single_t), ("a",)) == {("c",)}
-
-
-def test_rational_image():
-    # language a* through the appender gives a*a
-    astar = Nfa({"a", "b"}, {0}, {0}, {0}, [(0, "a", 0)])
-    image = rational_image(append_machine(sigma=("a", "b")), astar)
-    assert image.accepts(("a",))
-    assert image.accepts(("a", "a", "a"))
-    assert not image.accepts(())
-    assert not image.accepts(("b", "a"))
 
 
 def test_synchronize_identity():

@@ -12,7 +12,6 @@ from plactic.automata import (
     PairAutomaton,
     _bisimulation_quotient,
     _lag_bound,
-    compose_relations,
     delta_l,
     delta_r,
     enumerate_accepted,
@@ -21,12 +20,11 @@ from plactic.automata import (
 )
 from plactic.core import column_ge, iter_columns, iter_tableaux, tableau_of_word
 from plactic.multipliers import (
+    _spelled,
     build_k_acceptor,
     build_l_acceptor,
-    build_q,
     general_multiplier,
     left_multiplier,
-    lift_multiplier,
     lifted_multiplier,
     multiplier_pair_automata,
     right_multiplier,
@@ -48,17 +46,17 @@ MINIMAL_STATES = {
 # states of the column right multiplier and of its lift, by rank and gamma;
 # they guard the size of the carry construction
 RIGHT_MULTIPLIER_STATES = {
-    2: {1: (6, 36), 2: (5, 22)},
-    3: {1: (13, 121), 2: (11, 92), 3: (9, 63)},
+    2: {1: (6, 13), 2: (5, 9)},
+    3: {1: (13, 37), 2: (11, 28), 3: (9, 21)},
 }
 
 # states of the lifted (right, left) multipliers at rank 3 and of
 # their quotients by bisimulation, which `synchronize` works on
 LIFTED_QUOTIENT_STATES = {
-    None: ((20, 19), (20, 19)),
-    1: ((121, 75), (92, 52)),
-    2: ((92, 55), (101, 61)),
-    3: ((63, 36), (109, 57)),
+    None: ((13, 12), (13, 12)),
+    1: ((37, 37), (43, 24)),
+    2: ((28, 28), (47, 29)),
+    3: ((21, 21), (53, 30)),
 }
 
 # sha256 over the JSON export of every rank-2 and rank-3 pair DFA; the DFAs
@@ -70,7 +68,7 @@ PAIR_DFA_RANK4_SHA256 = "c0738dbec4b5751ae4923026a65a8a653f1872050f661814eb85b99
 
 # configurations `synchronize` builds for the 16 rank-3 pair automata, and
 # how many of them can reach acceptance
-RANK3_CONFIGURATIONS = (1425, 1288)
+RANK3_CONFIGURATIONS = (755, 684)
 
 
 def k_words(rank, max_cells):
@@ -149,16 +147,6 @@ def test_multiplier_outputs_stay_in_k():
                 assert k.accepts(v)
 
 
-def test_q_relation():
-    q = build_q(2)
-    assert transducer_outputs(q.forward, ((2, 1), (1,))) == {(2, 1, 1)}
-    assert transducer_outputs(q.forward, ()) == {()}
-    factorizations = transducer_outputs(q.inverse, (2, 1, 1))
-    assert ((2, 1), (1,)) in factorizations
-    assert ((2,), (1,), (1,)) in factorizations
-    assert factorizations == {((2, 1), (1,)), ((2,), (1,), (1,))}
-
-
 def test_l_acceptor():
     L = build_l_acceptor(2)
     assert L.accepts((2, 1, 1))
@@ -183,13 +171,34 @@ def test_lifted_multiplier_examples():
     assert (2,) in transducer_outputs(lifted_left, ())
 
 
-def test_lift_matches_q_conjugation():
-    q = build_q(2)
-    direct = lift_multiplier(right_multiplier(2, 1), q)
-    for u in l_words(2, 4):
-        assert transducer_outputs(direct, u) == {
-            tableau_of_word(u + (1,)).column_reading()
-        }
+def column_factorizations(w):
+    """Every factorization of the letter word w into strictly decreasing
+    pieces, each a column."""
+    if not w:
+        yield ()
+        return
+    for i in range(1, len(w) + 1):
+        if i > 1 and w[i - 1] >= w[i - 2]:
+            break
+        for rest in column_factorizations(w[i:]):
+            yield (w[:i],) + rest
+
+
+def test_spelled_matches_column_factorizations():
+    # the lift against its definition, the column-spelling relation Q
+    # conjugating t: all outputs of t over every factorization of w into
+    # columns, spelled in letters, on every word of <= 5 letters, in L or not
+    words = [w for k in range(6) for w in itertools.product((1, 2, 3), repeat=k)]
+    for gamma in (1, 2, 3):
+        for t in (right_multiplier(3, gamma), left_multiplier(3, gamma)):
+            lifted = _spelled(t, 3)
+            for w in words:
+                expected = {
+                    sum(v, ())
+                    for cols in column_factorizations(w)
+                    for v in transducer_outputs(t, cols)
+                }
+                assert transducer_outputs(lifted, w) == expected, (gamma, w)
 
 
 def test_lifted_relation_is_functional_on_l():
@@ -332,13 +341,6 @@ def test_general_multiplier_left():
             assert transducer_outputs(gm, u) == {
                 tableau_of_word(b + u).column_reading()
             }
-
-
-def test_q_composed_with_inverse_contains_identity():
-    q = build_q(2)
-    refactor = compose_relations(q.forward, q.inverse)
-    for u in k_words(2, 4):
-        assert u in transducer_outputs(refactor, u)
 
 
 def test_k_acceptor_language_enumerates_tableaux():
