@@ -42,7 +42,7 @@ def _env_int(name: str, default: int) -> int:
 
 def _pair_budget(args) -> int:
     """--pair-budget, else PLACTIC_PAIR_BUDGET, else the default; read only
-    by the commands that build a rule table."""
+    by rules, gsb and verify, the commands that build a rule table."""
     if args.pair_budget is not None:
         return args.pair_budget
     return _env_int("PLACTIC_PAIR_BUDGET", rewriting.DEFAULT_PAIR_BUDGET)
@@ -63,8 +63,7 @@ def cmd_normalize(args) -> int:
         cword = rewriting.parse_cword(args.word, args.rank)
     else:
         cword = rewriting.encode_word(parse_word(args.word, args.rank))
-    rs = rewriting.generate_rules(args.rank, _pair_budget(args))
-    nf = rewriting.normalize(cword, rs)
+    nf = rewriting.normalize(cword)
     print(rewriting.format_cword(nf, args.rank))
     print(format_word(rewriting.decode_word(nf), args.rank))
     return 0
@@ -237,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", help="normal form of a word over letters or columns")
     common(p)
-    rule_table(p)
     p.add_argument("word", help="letter word, or c:-prefixed column word like c:21,1")
     p.set_defaults(fn=cmd_normalize)
 

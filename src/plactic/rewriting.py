@@ -128,13 +128,16 @@ def rewrite_step(w: CWord, system: RewritingSystem) -> Optional[CWord]:
     return None
 
 
-def normalize(w: CWord, system: RewritingSystem) -> CWord:
-    """Leftmost rewriting to the unique normal form."""
-    rules = system.rules
+def normalize(w: CWord, system: Optional[RewritingSystem] = None) -> CWord:
+    """Leftmost rewriting to the normal form, by the table or, without one, by `product_columns`."""
+    rules = {} if system is None else system.rules
     out = list(w)
     i = 0
     while i < len(out) - 1:
-        rhs = rules.get((out[i], out[i + 1]))
+        pair = (out[i], out[i + 1])
+        if system is None and pair not in rules:
+            rules[pair] = product_columns(*pair)
+        rhs = rules.get(pair)
         if rhs is None:
             i += 1
         else:

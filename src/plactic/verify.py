@@ -129,8 +129,8 @@ def verify_core(cfg: Config) -> Report:
 def verify_rewriting(cfg: Config) -> Report:
     rep = Report("rewriting")
     top = min(cfg.rank + 2, RANK_CAPS["rewriting"]) if cfg.thorough else cfg.rank
-    for n in range(1, top + 1):
-        rs = rewriting.generate_rules(n, cfg.pair_budget)
+    tables = {n: rewriting.generate_rules(n, cfg.pair_budget) for n in range(1, top + 1)}
+    for n, rs in tables.items():
         cols = list(iter_columns(n))
         bad = [
             (a, b)
@@ -160,11 +160,10 @@ def verify_rewriting(cfg: Config) -> Report:
                 bad.append(o)
         rep.check(f"rank {n}: critical pairs converge", count, bad)
 
-    rs = rewriting.generate_rules(cfg.rank, cfg.pair_budget)
     words = _words(cfg.rank, cfg.max_len)
     bad = []
     for w in words:
-        nf = rewriting.normalize(rewriting.encode_word(w), rs)
+        nf = rewriting.normalize(rewriting.encode_word(w), tables[cfg.rank])
         if rewriting.decode_word(nf) != tableau_of_word(w).column_reading():
             bad.append(w)
         if tuple(sorted(rewriting.decode_word(nf))) != tuple(sorted(w)):
@@ -180,7 +179,7 @@ def verify_rewriting(cfg: Config) -> Report:
             w = t.columns + (c,)
             if sum(len(x) for x in w) <= cfg.max_len + 2:
                 universe.add(w)
-    bad = [w for w in universe if k.accepts(w) != rewriting.is_normal_form(w, rs)]
+    bad = [w for w in universe if k.accepts(w) != rewriting.is_normal_form(w, tables[cfg.rank])]
     rep.check("normal forms coincide with the K language", len(universe), bad)
     return rep
 
@@ -250,7 +249,7 @@ def verify_automata(cfg: Config) -> Report:
 def _check_multipliers(rep: Report, cfg: Config, rank: int, tabs: list, prefix: str) -> None:
     """Column, lifted and pair multipliers of one rank against normalization
     and tableau products, over the given tableaux; labels start with prefix."""
-    rs = rewriting.generate_rules(rank)
+    rs = rewriting.generate_rules(rank, cfg.pair_budget)
     kwords = [t.columns for t in tabs]
     lwords = [t.column_reading() for t in tabs]
 
@@ -342,9 +341,9 @@ SUITES = {
 }
 
 
-# the largest rank each suite runs at: the rewriting suite holds every
-# critical pair of each rank up to the one given (623,010 at rank 7), and the
-# multipliers suite synchronizes every pair automaton of its rank
+# the largest rank each suite runs at: the rewriting suite checks the critical
+# pairs of every rank up to the one given, yielded one at a time (623,010 at
+# rank 7), and the multipliers suite synchronizes every pair automaton of its rank
 RANK_CAPS = {"rewriting": 7, "multipliers": 5}
 
 

@@ -193,16 +193,39 @@ def test_large_rank_comma_format(capsys):
 
 
 def test_rule_table_budget_refusal(capsys):
-    code, _, err = run(capsys, "normalize", "--rank", "12", "c:10.2,1")
+    code, _, err = run(capsys, "rules", "--rank", "12")
     assert code == 1
     assert "rule-table entries" in err
 
 
-def test_normalize_parses_word_before_rule_table(capsys):
-    # the rank-12 table is over budget; the bad word must be reported first
-    code, out, err = run(capsys, "normalize", "--rank", "12", "--pair-budget", "10", "1,x")
+def test_verify_multipliers_honours_pair_budget(capsys):
+    code, _, err = run(
+        capsys, "verify", "--rank", "4", "--max-len", "3", "--pair-budget", "200", "multipliers"
+    )
+    assert code == 1
+    assert "rank 4 needs 225 rule-table entries (budget 200)" in err
+
+
+def test_normalize_parse_error_at_large_rank(capsys):
+    code, out, err = run(capsys, "normalize", "--rank", "12", "1,x")
     assert_usage_error(code, out, err)
     assert "cannot parse" in err
+
+
+LETTERS_60 = ",".join(str(1 + (7 * i) % 20) for i in range(60))
+
+
+@pytest.mark.parametrize(
+    "rank, word, letters",
+    [(20, LETTERS_60, LETTERS_60), (12, "c:10.2,1", "10,2,1")],
+    ids=["rank20-letters", "rank12-columns"],
+)
+def test_normalize_at_a_rank_beyond_any_rule_table(capsys, rank, word, letters):
+    # normalize builds no table, so no pair budget bounds its rank
+    code, out, err = run(capsys, "normalize", "--rank", str(rank), word)
+    assert code == 0 and err == ""
+    _, reading, _ = run(capsys, "tableau", "--rank", str(rank), letters)
+    assert out.splitlines()[-1] == reading.splitlines()[-1]
 
 
 @pytest.mark.parametrize(
@@ -246,11 +269,16 @@ def test_non_integer_environment_limit(capsys, monkeypatch, name):
 
 
 def test_pair_budget_environment_only_where_a_rule_table_is_built(capsys, monkeypatch):
-    # tableau builds no rule table, so a bad PLACTIC_PAIR_BUDGET is never read
+    # tableau and normalize build no rule table, so a bad PLACTIC_PAIR_BUDGET
+    # is never read
     monkeypatch.setenv("PLACTIC_PAIR_BUDGET", "0")
     code, out, err = run(capsys, "tableau", "--rank", "2", "21")
     assert code == 0
     assert out == "2\n1\n21\n"
+    assert err == ""
+    code, out, err = run(capsys, "normalize", "--rank", "2", "121")
+    assert code == 0
+    assert out == "c_21 c_1\n211\n"
     assert err == ""
 
 
@@ -277,8 +305,13 @@ def test_machines_rejects_non_integer_state_limit(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "command, argv",
-    [("tableau", ["21"]), ("multiply", ["--side", "right", "21", "1"]), ("machines", ["--gamma", "1"])],
-    ids=["tableau", "multiply", "machines"],
+    [
+        ("tableau", ["21"]),
+        ("normalize", ["121"]),
+        ("multiply", ["--side", "right", "21", "1"]),
+        ("machines", ["--gamma", "1"]),
+    ],
+    ids=["tableau", "normalize", "multiply", "machines"],
 )
 def test_pair_budget_only_where_a_rule_table_is_built(capsys, command, argv):
     with pytest.raises(SystemExit) as exc:

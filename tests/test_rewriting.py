@@ -145,6 +145,18 @@ def test_normalize_agrees_with_tableaux():
             assert sorted(decode_word(nf)) == sorted(w)
 
 
+def test_normalize_without_a_table_matches_the_table():
+    # the rules computed on first use are the table's rules, so both paths
+    # reach the same normal form on every letter word and column word below
+    for n, letters, columns in ((1, 6, 3), (2, 6, 3), (3, 6, 3), (4, 5, 3), (5, 4, 2)):
+        rs = generate_rules(n)
+        cols = list(iter_columns(n))
+        words = [encode_word(w) for w in oracles.all_words(n, letters)]
+        words += [w for k in range(columns + 1) for w in itertools.product(cols, repeat=k)]
+        for w in words:
+            assert normalize(w) == normalize(w, rs)
+
+
 def test_normal_form_iff_chained():
     rs = generate_rules(3)
     cols = list(iter_columns(3))
