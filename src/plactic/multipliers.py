@@ -159,11 +159,17 @@ def _spelled(t: Transducer, n: int) -> Transducer:
     the word into columns.
 
     State (r, p) is at state r of t and has read the strictly decreasing
-    letters p of the next column.  A smaller letter extends p; an epsilon
-    arc closes p and fires one of r's arcs on the column p, emitting its
-    output columns letter by letter.  t's own epsilon arcs fire only
-    between columns (p empty).  Only the reachable states are built.
+    letters p of the next column.  A letter extends p only toward a column
+    that some arc of r reads (`grows` holds those letters by (r, p)); an
+    epsilon arc closes p and fires one of r's arcs on the column p,
+    emitting its output columns letter by letter.  t's own epsilon arcs
+    fire only between columns (p empty).  Only the reachable states are
+    built, and on a trim t each of them can reach acceptance.
     """
+    grows: dict = {}
+    for r, sym, _, _ in t.transitions:
+        for k in range(len(sym or ())):
+            grows.setdefault((r, sym[:k]), set()).add(sym[k])
     start = [(r, ()) for r in t.initial]
     states = set(start)
     transitions = []
@@ -171,7 +177,7 @@ def _spelled(t: Transducer, n: int) -> Transducer:
     while work:
         q = work.pop()
         r, p = q
-        nexts = [(x, (), (r, p + (x,))) for x in range(1, p[-1] if p else n + 1)]
+        nexts = [(x, (), (r, p + (x,))) for x in grows.get(q, ())]
         nexts += [
             (None, tuple(x for col in out for x in col), (r2, ()))
             for sym, out, r2 in t.arcs_from(r)

@@ -9,13 +9,13 @@ as a binomial basis of the free algebra on the column generators.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from plactic.core import (
     Column,
     Word,
-    _insert,
     check_rank,
     column_ge,
     format_word,
@@ -76,33 +76,28 @@ class RewritingSystem:
     rules: Mapping[tuple[Column, Column], tuple[Column, ...]]
 
 
-def _row_products(a: Column, n: int) -> dict[Column, tuple[Column, ...]]:
-    """The columns of the tableau of ab for every column b over 1..n that a
-    is incomparable with.
+def _two_column_product(a: Column, b: Column) -> tuple[Column, ...]:
+    """The columns of the tableau of ab for an incomparable pair, without
+    insertion.
 
-    One depth-first walk over the trie of columns: the children of b are
-    b + (x,) for each x < b[-1], and each child inserts its one new letter
-    into a copy of its parent's tableau.  Insertion is letter by letter, so
-    this is Schensted insertion of a + b, and a strictly decreasing a
-    inserts as the single column a.
+    Each letter x of a, largest first, takes the smallest letter of b still
+    free that is at least x.  The taken letters form the right column; the
+    free ones join a in the left column, the only column if none is taken.
     """
-    out = {}
-
-    def walk(b: Column, cols: list[list[int]]) -> None:
-        if b and not column_ge(a, b):
-            out[b] = tuple(tuple(c) for c in cols)
-        for x in range(1, b[-1] if b else n + 1):
-            child = [c[:] for c in cols]
-            _insert(child, x, None)
-            walk(b + (x,), child)
-
-    walk((), [list(a)])
-    return out
+    free = list(b[::-1])
+    taken = []
+    for x in a:
+        i = bisect_left(free, x)
+        if i < len(free):
+            taken.append(free.pop(i))
+    left = tuple(sorted(a + tuple(free), reverse=True))
+    return (left, tuple(sorted(taken, reverse=True))) if taken else (left,)
 
 
 def generate_rules(n: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RewritingSystem:
-    """One rule per ordered incomparable pair of columns; each left column's
-    row of the table comes from one insertion walk (`_row_products`)."""
+    """One rule per ordered incomparable pair of columns, in generator order;
+    each right side is the direct two-column product (`_two_column_product`),
+    equal to `product_columns` of the pair."""
     check_rank(n)
     count = (2**n - 1) ** 2
     if count > pair_budget:
@@ -110,11 +105,9 @@ def generate_rules(n: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RewritingS
     columns = sorted(iter_columns(n), key=column_key)
     rules = {}
     for a in columns:
-        row = _row_products(a, n)
         for b in columns:
-            rhs = row.get(b)
-            if rhs is not None:
-                rules[(a, b)] = rhs
+            if not column_ge(a, b):
+                rules[(a, b)] = _two_column_product(a, b)
     return RewritingSystem(n, rules)
 
 
@@ -205,8 +198,7 @@ def critical_pairs(system: RewritingSystem) -> Iterator[Overlap]:
             yield Overlap((a, b, c), left, right)
 
 
-@dataclass(frozen=True)
-class Binomial:
+class Binomial(NamedTuple):
     leading: CWord
     trailing: CWord
     leading_coeff: int = 1

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from plactic import automata, verify
+from plactic import automata, multipliers, verify
 from plactic.automata import (
     Nfa,
     PairAutomaton,
@@ -199,6 +199,21 @@ def test_spelled_matches_column_factorizations():
                     for v in transducer_outputs(t, cols)
                 }
                 assert transducer_outputs(lifted, w) == expected, (gamma, w)
+
+
+def test_spelled_builds_no_state_that_trim_drops(monkeypatch):
+    # a pending column grows only toward a column its state reads, so every
+    # state the spelling pass builds can reach acceptance
+    handed = []
+    monkeypatch.setattr(
+        multipliers, "trim", lambda t: handed.append(t.states) or automata.trim(t)
+    )
+    for rank in (3, 4):
+        for gamma in range(1, rank + 1):
+            for t in (right_multiplier(rank, gamma), left_multiplier(rank, gamma)):
+                handed.clear()
+                lifted = _spelled(t, rank)
+                assert handed == [lifted.states], (rank, gamma)
 
 
 def test_lifted_relation_is_functional_on_l():
