@@ -151,8 +151,9 @@ class Transducer:
 
     @cached_property
     def _prepared(self) -> _Prepared:
-        """What `synchronize` derives from this machine for both directions;
-        built at the first call and kept as long as the machine."""
+        """What `synchronize` derives from this machine (see `_Prepared`),
+        shared by both directions, memo included; built at the first call
+        and kept as long as the machine."""
         return _prepare(self)
 
 
@@ -447,6 +448,18 @@ def _lag_bound(t: Transducer) -> int:
     return max((abs(lag) for _, lag in prefix | suffix), default=0)
 
 
+def _refine(block: dict, signature) -> dict:
+    """Moore refinement of `block` (item -> block id): split blocks until
+    the items of each agree on signature(item, block)."""
+    count = len(set(block.values()))
+    while True:
+        ids: dict[tuple, int] = {}
+        refined = {x: ids.setdefault((b, signature(x, block)), len(ids)) for x, b in block.items()}
+        if len(ids) == count:
+            return block
+        block, count = refined, len(ids)
+
+
 def _forward_quotient(t: Transducer) -> Transducer:
     """t with each class of forward-bisimilar states merged into one state.
 
@@ -457,17 +470,10 @@ def _forward_quotient(t: Transducer) -> Transducer:
     t's relation, and each path of the quotient lifts to a path of t with
     the same labels from any member of its first block.
     """
-    block = {q: int(q in t.accepting) for q in t.states}
-    count = len(set(block.values()))
-    while True:
-        ids: dict[tuple, int] = {}
-        refined = {}
-        for q in t.states:
-            arcs = frozenset((sym, out, block[dst]) for sym, out, dst in t.arcs_from(q))
-            refined[q] = ids.setdefault((block[q], arcs), len(ids))
-        if len(ids) == count:
-            break
-        block, count = refined, len(ids)
+    block = _refine(
+        {q: int(q in t.accepting) for q in t.states},
+        lambda q, block: frozenset((sym, out, block[dst]) for sym, out, dst in t.arcs_from(q)),
+    )
     return Transducer(
         t.in_alphabet,
         t.out_alphabet,
@@ -494,46 +500,27 @@ def _bisimulation_quotient(t: Transducer) -> Transducer:
     return reverse_relation(_forward_quotient(reverse_relation(forward)))
 
 
-def _output_prefixes(t: Transducer, bound: int) -> dict[State, set[tuple]]:
-    """For each state of t, the words of length <= bound that the output of
-    some path from that state begins with (a prefix-closed set)."""
-    preds: dict[State, list[tuple[State, tuple]]] = {}
-    for src, _, out, dst in t.transitions:
-        preds.setdefault(dst, []).append((src, out))
-    prefixes = {q: {()} for q in t.states}
-    queue = deque(t.states)
-    queued = set(t.states)
-    while queue:
-        dst = queue.popleft()
-        queued.discard(dst)
-        for src, out in preds.get(dst, ()):
-            grown = {out[:k] for k in range(min(len(out), bound) + 1)}
-            grown.update((out + w)[:bound] for w in prefixes[dst])
-            if not grown <= prefixes[src]:
-                prefixes[src] |= grown
-                if src not in queued:
-                    queued.add(src)
-                    queue.append(src)
-    return prefixes
-
-
 @dataclass(frozen=True)
 class _Prepared:
     """The trimmed bisimulation quotient of a transducer with its buffer
-    bound, the output prefixes each state can still emit, and each state's
-    suffix lags, over all arcs and over epsilon arcs alone."""
+    bound; for each state, the states its arcs with empty output reach
+    (`silent`, the state included) and its suffix lags, over all arcs and
+    over epsilon arcs alone; and the answers `_can_emit` has given so far."""
 
     t: Transducer
     bound: int
-    can_emit: dict[State, set[tuple]]
+    silent: dict[State, set[State]]
     suffix: dict[State, set[int]]
     eps_suffix: dict[State, set[int]]
+    emits: dict[tuple[State, tuple], bool] = field(default_factory=dict, repr=False, compare=False)
 
 
 def _prepare(t: Transducer) -> _Prepared:
     t = _bisimulation_quotient(trim(t))
     prefix, suffix, eps_suffix = _lags(t)
     bound = max((abs(lag) for _, lag in prefix | suffix), default=0)  # _lag_bound(t)
+    quiet = {q: [dst for _, out, dst in t.arcs_from(q) if not out] for q in t.states}
+    silent = {q: _sweep({q}, lambda p: quiet[p]) for q in t.states}
 
     def by_state(pairs) -> dict[State, set[int]]:
         lags: dict[State, set[int]] = {}
@@ -541,7 +528,23 @@ def _prepare(t: Transducer) -> _Prepared:
             lags.setdefault(q, set()).add(lag)
         return lags
 
-    return _Prepared(t, bound, _output_prefixes(t, bound), by_state(suffix), by_state(eps_suffix))
+    return _Prepared(t, bound, silent, by_state(suffix), by_state(eps_suffix))
+
+
+def _can_emit(prep: _Prepared, q: State, w: tuple) -> bool:
+    """Whether the output of some path of prep.t from q begins with w: an
+    arc with non-empty output `out` leaves a state of silent[q], and out
+    begins with w, or w begins with out and the arc's target can emit the
+    rest.  Each step shortens w, so the recursion ends.  Memoized per (q, w)
+    in prep.emits."""
+    if w and (q, w) not in prep.emits:
+        n = len(w)
+        prep.emits[q, w] = any(
+            out[:n] == w if len(out) >= n
+            else out == w[:len(out)] and _can_emit(prep, dst, w[len(out):])
+            for p in prep.silent[q] for _, out, dst in prep.t.arcs_from(p) if out
+        )
+    return not w or prep.emits[q, w]
 
 
 def _settling_lags(p: _Prepared, right: bool) -> dict[tuple, set[int]]:
@@ -618,21 +621,14 @@ def _minimal_dfa(a: Nfa) -> Nfa:
 
     # Moore refinement, from the accepting / non-accepting split
     final = [bool(frontier & a.accepting) for frontier in subsets]
-    block = [int(f) for f in final]
-    count = len(set(block))
-    while True:
-        ids: dict[tuple, int] = {}
-        refined = []
-        for i, row in enumerate(delta):
-            signature = (block[i],) + tuple((s, block[d]) for s, d in row.items())
-            refined.append(ids.setdefault(signature, len(ids)))
-        if len(ids) == count:
-            break
-        block, count = refined, len(ids)
+    block = _refine(
+        {i: int(f) for i, f in enumerate(final)},
+        lambda i, block: tuple((s, block[d]) for s, d in delta[i].items()),
+    )
 
     # one subset stands for each block; number the blocks breadth-first
     rep = {}
-    for i, b in enumerate(block):
+    for i, b in block.items():
         rep.setdefault(b, i)
     number = {block[0]: 0}
     blocks = [block[0]]
@@ -653,13 +649,14 @@ def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> Pair
 
     The steps: trim t; quotient it by forward, then backward bisimulation
     (`_bisimulation_quotient`); sweep the quotient's lags (`_lags`) for the
-    buffer bound and each state's suffix lags; collect the outputs each
-    state can still emit; search the configurations; minimize.  All steps
-    before the search depend on t alone, so they run once per transducer
-    (`Transducer._prepared`) and its R and L machines share them.  The
-    quotient accepts t's relation, and each of its paths lifts to a path of
-    t with the same labels, so it has the same lags and the same bound, and
-    the drops below stay sound.
+    buffer bound and each state's suffix lags; search the configurations,
+    asking on demand what each state can still emit (`_can_emit`);
+    minimize.  All steps before the search depend on t alone, so they run
+    once per transducer (`Transducer._prepared`), and its R and L machines
+    share them and the answers of `_can_emit`.  The quotient accepts t's
+    relation, and each of its paths lifts to a path of t with the same
+    labels, so it has the same lags and the same bound, and the drops below
+    stay sound.
 
     Simulates t against the pair string with a buffer of emitted-but-unmatched
     (or awaited) output symbols.  The relation must have bounded lag: every
@@ -691,7 +688,7 @@ def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> Pair
         raise ValueError(f"direction must be 'R' or 'L', got {direction!r}")
     right = direction == "R"
     prep = t._prepared
-    t, bound, can_emit = prep.t, prep.bound, prep.can_emit
+    t, bound = prep.t, prep.bound
     settles = _settling_lags(prep, right)
     # no sorting: _minimal_dfa numbers the result the same for any order
     base = list(t.in_alphabet | t.out_alphabet)
@@ -723,7 +720,7 @@ def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> Pair
             return
         if len(prod) - len(owed) not in settles[dst, fl, fr]:
             return  # no accepting run can settle this lag
-        if owed not in can_emit[dst]:
+        if not _can_emit(prep, dst, owed):
             return  # t can never emit the awaited queue: no accepting run
         nxt = (dst, prod, owed, fl, fr)
         transitions.append((cfg, label, nxt))
@@ -764,7 +761,7 @@ def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> Pair
             else:
                 prod2, owed2 = prod, owed + (y,)
                 # whatever t emits next, from q on, must begin with owed2
-                if owed2[:bound] not in can_emit[q]:
+                if not _can_emit(prep, q, owed2[:bound]):
                     continue
             for x, out, dst, nfl in lefts:
                 if nfl is not None and (x, y) != (PAD, PAD):

@@ -6,6 +6,7 @@ and inserts through a different code path, so the two implementations share
 no code.
 """
 
+from collections import deque
 from itertools import combinations
 
 
@@ -137,3 +138,27 @@ def dfa_contract_violations(nfa):
     if len(set(block.values())) != len(nfa.states):
         problems.append(f"{len(nfa.states)} states but {len(set(block.values()))} Moore classes")
     return problems
+
+
+def output_prefixes(t, bound):
+    """For each state of transducer t, the words of length <= bound that the
+    output of some path from that state begins with (a prefix-closed set),
+    by a fixpoint over t's arcs run backward."""
+    preds = {}
+    for src, _, out, dst in t.transitions:
+        preds.setdefault(dst, []).append((src, out))
+    prefixes = {q: {()} for q in t.states}
+    queue = deque(t.states)
+    queued = set(t.states)
+    while queue:
+        dst = queue.popleft()
+        queued.discard(dst)
+        for src, out in preds.get(dst, ()):
+            grown = {out[:k] for k in range(min(len(out), bound) + 1)}
+            grown.update((out + w)[:bound] for w in prefixes[dst])
+            if not grown <= prefixes[src]:
+                prefixes[src] |= grown
+                if src not in queued:
+                    queued.add(src)
+                    queue.append(src)
+    return prefixes

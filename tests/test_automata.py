@@ -10,6 +10,7 @@ from plactic.automata import (
     PairAutomaton,
     Transducer,
     _bisimulation_quotient,
+    _can_emit,
     _lag_bound,
     compose_relations,
     delta_l,
@@ -313,6 +314,27 @@ def test_synchronize_refuses_unbounded_lag():
     for direction in "RL":
         with pytest.raises(ValueError, match="unbounded lag"):
             synchronize(doubling, direction)
+
+
+def silent_detour_machine():
+    # reads x y and emits pqr, or reads y and emits q.  Every path from s
+    # to the output p first reads x and emits nothing, then follows epsilon
+    # arcs that emit nothing (a cycle between a and b)
+    arcs = [("s", "x", (), "a"), ("a", None, (), "b"), ("b", None, (), "a"),
+            ("b", "y", ("p", "q"), "c"), ("c", None, ("r",), "f"), ("s", "y", ("q",), "f")]
+    return Transducer(("x", "y"), ("p", "q", "r"), {"s", "a", "b", "c", "f"}, {"s"}, {"f"}, arcs)
+
+
+def test_can_emit_crosses_arcs_with_empty_output():
+    prep = silent_detour_machine()._prepared
+    (start,) = prep.t.initial
+    assert _can_emit(prep, start, ("p", "q", "r"))
+    assert not _can_emit(prep, start, ("p", "r"))
+    assert not _can_emit(prep, start, ("r",))
+    reference = oracles.output_prefixes(prep.t, 4)
+    for q in prep.t.states:
+        for w in words_over(("p", "q", "r"), 4):
+            assert _can_emit(prep, q, w) == (w in reference[q]), (q, w)
 
 
 def test_lag_bound():

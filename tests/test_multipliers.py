@@ -66,6 +66,9 @@ PAIR_DFA_SHA256 = "7731fb47f1aed2695ac7f1f4cfffd064e3409708375b07056f8cb377cc436
 # the same digest over every rank-4 pair DFA
 PAIR_DFA_RANK4_SHA256 = "c0738dbec4b5751ae4923026a65a8a653f1872050f661814eb85b99924bb3f23"
 
+# the same digest over every rank-5 pair DFA
+PAIR_DFA_RANK5_SHA256 = "e30f1eaac2f63eb81679acf46fd80c64da2160695218f1293a722a01bdd4e968"
+
 # configurations `synchronize` builds for the 16 rank-3 pair automata, and
 # how many of them can reach acceptance
 RANK3_CONFIGURATIONS = (755, 684)
@@ -414,6 +417,24 @@ def test_pair_dfa_exports_are_pinned():
 
 def test_rank4_pair_dfa_exports_are_pinned():
     assert pair_dfa_digest((4,)) == PAIR_DFA_RANK4_SHA256
+
+
+def test_rank5_pair_dfa_exports_are_pinned():
+    assert pair_dfa_digest((5,)) == PAIR_DFA_RANK5_SHA256
+
+
+def test_can_emit_matches_the_output_prefix_sets():
+    # the on-demand test against the prefix sets it replaced, for every word
+    # of at most `bound` letters that the search could ask about
+    for gamma in (None, 1, 2, 3):
+        for side in ("right", "left"):
+            prep = lifted_multiplier(3, gamma, side)._prepared
+            reference = oracles.output_prefixes(prep.t, prep.bound)
+            letters = sorted(prep.t.out_alphabet)
+            words = [w for k in range(prep.bound + 1) for w in itertools.product(letters, repeat=k)]
+            for q in prep.t.states:
+                for w in words:
+                    assert automata._can_emit(prep, q, w) == (w in reference[q]), (gamma, side, q, w)
 
 
 def test_synchronize_builds_few_dead_configurations(monkeypatch):
