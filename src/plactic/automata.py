@@ -2,21 +2,24 @@
 
 Symbols and states are arbitrary hashable values; epsilon is represented by
 None.  Machines are immutable after construction and all operations here are
-pure.  `synchronize` turns a rational relation of bounded lag, one whose
-transducer emits as many letters as it reads on every cycle, into the
-minimal deterministic automaton over padded letter pairs.  It trims the
-transducer and quotients it by forward, then backward bisimulation; sweeps
-the lags of its path prefixes and suffixes; searches the configurations of
-the quotient against the pair string; and minimizes.  A bisimulation
-quotient keeps the relation and the lag of every path, so it shrinks the
-search and changes neither the lags nor the result.  Everything before the
-search is a property of the transducer alone and is computed once per
-transducer for both padding directions.  The search drops three kinds of
-configuration that lie on no accepting run: a buffer longer than any lag
-of a path prefix or suffix, a lag that no path to acceptance can settle
-within the padding phases left, and an awaited output that the transducer
-can no longer emit.  A relation of unbounded lag is refused with
-ValueError.
+pure.  One breadth-first walk over reachable states, `_sweep`, serves every
+search here and in `multipliers` (through `_explore`, which also collects
+the transitions it follows), except the walks whose visiting order is their
+output and the per-word `transducer_outputs`.  `synchronize` turns a rational relation of
+bounded lag, one whose transducer emits as many letters as it reads on
+every cycle, into the minimal deterministic automaton over padded letter
+pairs.  It trims the transducer and quotients it by forward, then backward
+bisimulation; sweeps the lags of its path prefixes and suffixes; searches
+the configurations of the quotient against the pair string; and minimizes.
+A bisimulation quotient keeps the relation and the lag of every path, so it
+shrinks the search and changes neither the lags nor the result.  Everything
+before the search is a property of the transducer alone and is computed
+once per transducer for both padding directions.  The search drops two
+kinds of configuration that lie on no accepting run: a lag that no path to
+acceptance can settle within the padding phases left, a test that also caps
+the buffer at the largest lag of a path prefix or suffix, and an awaited
+output that the transducer can no longer emit.  A relation of unbounded lag
+is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -47,14 +50,13 @@ class Nfa:
         self.transitions = tuple(set(transitions))
         if not self.initial <= self.states or not self.accepting <= self.states:
             raise ValueError("initial/accepting states must be declared states")
-        self._eps: dict[State, tuple[State, ...]] = {}
+        self._eps: dict[State, list[State]] = {}
         self._step: dict[tuple[State, Symbol], list[State]] = {}
         for src, sym, dst in self.transitions:
             if src not in self.states or dst not in self.states:
                 raise ValueError(f"undeclared state in transition {(src, sym, dst)!r}")
             if sym is None:
-                self._eps.setdefault(src, ())
-                self._eps[src] = self._eps[src] + (dst,)
+                self._eps.setdefault(src, []).append(dst)
             else:
                 if sym not in self.alphabet:
                     raise ValueError(f"undeclared symbol {sym!r}")
@@ -66,14 +68,7 @@ class Nfa:
         cached = self._closure_cache.get(states)
         if cached is not None:
             return cached
-        out = set(states)
-        queue = deque(states)
-        while queue:
-            for nxt in self._eps.get(queue.popleft(), ()):
-                if nxt not in out:
-                    out.add(nxt)
-                    queue.append(nxt)
-        result = frozenset(out)
+        result = frozenset(_sweep(states, lambda q: self._eps.get(q, ())))
         self._closure_cache[states] = result
         return result
 
@@ -106,6 +101,7 @@ def enumerate_accepted(a: Nfa, max_len: int) -> Iterator[tuple]:
     """All accepted words of length <= max_len, by pruned depth-first search."""
     symbols = sorted(a.alphabet, key=repr)
 
+    # its own walk, not `_sweep`: the words come out in the order it visits them
     def walk(frontier: frozenset, prefix: tuple):
         if frontier & a.accepting:
             yield prefix
@@ -163,6 +159,10 @@ def transducer_outputs(t: Transducer, u: Sequence[Symbol], bound: int = 10**6) -
     Raises ResourceLimit when more than `bound` configurations get explored,
     which signals an output-unbounded machine or too small a bound.
     """
+    # its own loop, not `_explore`: it runs once per word, in `verify` and in
+    # every `multiply`, and over the 1,554 searches of the six rank-3 lifts
+    # with gamma != eps the shared walk took 48-51 ms against 23 ms (medians
+    # of 15 rounds, 2 cores, Python 3.11)
     u = tuple(u)
     results: set[tuple] = set()
     seen: set[tuple] = set()
@@ -190,16 +190,34 @@ def transducer_outputs(t: Transducer, u: Sequence[Symbol], bound: int = 10**6) -
     return results
 
 
-def _sweep(seeds, successors) -> set:
-    """The states reachable from seeds; successors(state) lists the next ones."""
+def _sweep(seeds, successors, limit=None, what="search") -> set:
+    """The states reachable from seeds, breadth-first; successors(state)
+    lists the next ones.  Raises ResourceLimit when a state beyond the seeds
+    would be added once `limit` states are known."""
     seen = set(seeds)
     queue = deque(seen)
     while queue:
         for nxt in successors(queue.popleft()):
             if nxt not in seen:
+                if limit is not None and len(seen) >= limit:
+                    raise ResourceLimit(f"{what} exceeded {limit} configurations")
                 seen.add(nxt)
                 queue.append(nxt)
     return seen
+
+
+def _explore(start, arcs, limit=None, what="search") -> tuple[set, list]:
+    """The states reachable from start and the transitions leaving them, by
+    `_sweep`; arcs(q) lists q's transitions, tuples that begin with q and end
+    with their target."""
+    transitions: list[tuple] = []
+
+    def successors(q):
+        found = arcs(q)
+        transitions.extend(found)
+        return [tr[-1] for tr in found]
+
+    return _sweep(start, successors, limit, what), transitions
 
 
 def trim(t: Transducer) -> Transducer:
@@ -239,42 +257,22 @@ def compose_relations(s: Transducer, t: Transducer) -> Transducer:
     (v,w) in t.  Product construction; s-outputs are buffered and fed to t
     symbol by symbol, so buffers never exceed one s-transition's output."""
     start = [(q, r, ()) for q in s.initial for r in t.initial]
-    seen = set(start)
-    queue = deque(start)
-    transitions = []
-    while queue:
-        state = queue.popleft()
+
+    def arcs(state):
         q, r, pending = state
-
-        def push(sym, out, nxt):
-            transitions.append((state, sym, out, nxt))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-
         if pending:
             head, rest = pending[0], pending[1:]
-            for sym, out, r2 in t.arcs_from(r):
-                if sym == head:
-                    push(None, out, (q, r2, rest))
+            found = [(state, None, out, (q, r2, rest)) for sym, out, r2 in t.arcs_from(r) if sym == head]
         else:
-            for sym, out, q2 in s.arcs_from(q):
-                push(sym, (), (q2, r, tuple(out)))
-        for sym, out, r2 in t.arcs_from(r):
-            if sym is None:
-                push(None, out, (q, r2, pending))
+            found = [(state, sym, (), (q2, r, tuple(out))) for sym, out, q2 in s.arcs_from(q)]
+        found += [(state, None, out, (q, r2, pending)) for sym, out, r2 in t.arcs_from(r) if sym is None]
+        return found
+
+    states, transitions = _explore(start, arcs)
     accepting = {
-        (q, r, pend) for (q, r, pend) in seen if pend == () and q in s.accepting and r in t.accepting
+        (q, r, pend) for (q, r, pend) in states if pend == () and q in s.accepting and r in t.accepting
     }
-    composed = Transducer(
-        s.in_alphabet,
-        t.out_alphabet,
-        seen,
-        {st for st in start},
-        accepting,
-        transitions,
-    )
-    return trim(composed)
+    return trim(Transducer(s.in_alphabet, t.out_alphabet, states, start, accepting, transitions))
 
 
 # -- padded pair encodings ----------------------------------------------
@@ -567,6 +565,13 @@ def _settling_lags(p: _Prepared, right: bool) -> dict[tuple, set[int]]:
       d + b >= 0.  Left side alone: l >= r, so d + b <= 0.  Both: r = l,
       so d + b = 0;
     - neither flag set: no bound.
+
+    Every set lies in range(-bound, bound + 1): each is cut from that span
+    or is {-b} for suffix lags b, which are at most bound in size.  Every
+    configuration has its produced or its awaited buffer empty: a right
+    letter joins the awaited queue only while nothing is produced, and
+    emitted letters settle the queue before they extend prod.  So keeping d
+    in these sets caps both buffers at `bound`, the cap `_lag_bound` derives.
     """
     span = range(-p.bound, p.bound + 1)
     unbounded = set(span)
@@ -604,7 +609,8 @@ def _minimal_dfa(a: Nfa) -> Nfa:
     # through co-reachable states only.  subsets[i] is the frontier of DFA
     # state i (an empty language leaves the one empty frontier, a lone
     # rejecting state).  Only letters leaving the frontier lead anywhere;
-    # they are tried in the sorted order, and each row lists its arcs in it
+    # they are tried in the sorted order, and each row lists its arcs in it.
+    # Its own loop, not `_sweep`: the visiting order numbers the subsets
     start = a.start_set() & live
     subsets = [start]
     index = {start: 0}
@@ -661,12 +667,13 @@ def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> Pair
     Simulates t against the pair string with a buffer of emitted-but-unmatched
     (or awaited) output symbols.  The relation must have bounded lag: every
     cycle of t emits as many letters as it reads, or ValueError is raised.
-    Three drops keep the search to configurations that can still accept, and
+    Two drops keep the search to configurations that can still accept, and
     each is sound by construction: it removes only configurations that lie
-    on no accepting run.  A buffer longer than `_lag_bound(t)` lies on none
-    (see `_lag_bound`).  A lag d = |produced| - |awaited| that no path from
+    on no accepting run.  A lag d = |produced| - |awaited| that no path from
     the t-state to acceptance can settle within the phases its flags leave
-    lies on none (see `_settling_lags`).  An awaited queue that is not a
+    lies on none (see `_settling_lags`); every lag kept is at most
+    `_lag_bound(t)` in size, so no buffer is longer than any accepting run
+    needs (see `_lag_bound`).  An awaited queue that is not a
     prefix of any output its t-state can still emit can never be emptied;
     a right letter that makes the queue such a word is not tried at all,
     since whatever t emits next must begin with it.  Construction aborts
@@ -701,46 +708,33 @@ def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> Pair
     # configuration: (t-state, produced, awaited, left flag, right flag), a
     # flag being True once that side is in its second phase
     init = [(q, (), (), False, False) for q in t.initial]
-    seen = set(init)
-    queue = deque(init)
-    transitions = []
-    accepting = set()
 
-    def store(cfg, label, out, dst, prod, owed, fl, fr):
-        # emitted symbols settle the awaited queue first and the rest extends
-        # prod; under R nothing may be emitted past the closed right word
-        if out:
-            k = min(len(out), len(owed))
-            if out[:k] != owed[:k] or (right and fr and len(out) > k):
-                return
-            prod, owed = prod + out[k:], owed[k:]
-        # buffer caps apply to stored configurations only; within one pair
-        # letter the awaited queue may transiently exceed the bound
-        if len(prod) > bound or len(owed) > bound:
-            return
-        if len(prod) - len(owed) not in settles[dst, fl, fr]:
-            return  # no accepting run can settle this lag
-        if not _can_emit(prep, dst, owed):
-            return  # t can never emit the awaited queue: no accepting run
-        nxt = (dst, prod, owed, fl, fr)
-        transitions.append((cfg, label, nxt))
-        if nxt not in seen:
-            if len(seen) >= state_limit:
-                raise ResourceLimit(f"synchronize exceeded {state_limit} configurations")
-            seen.add(nxt)
-            queue.append(nxt)
-
-    while queue:
-        cfg = queue.popleft()
+    def arcs(cfg):
         q, prod, owed, fl, fr = cfg
-        if q in t.accepting and not prod and not owed:
-            accepting.add(cfg)
+        found = []
+
+        def store(label, out, dst, prod, owed, fl, fr):
+            # emitted symbols settle the awaited queue first and the rest
+            # extends prod; under R nothing may be emitted past the closed
+            # right word
+            if out:
+                k = min(len(out), len(owed))
+                if out[:k] != owed[:k] or (right and fr and len(out) > k):
+                    return
+                prod, owed = prod + out[k:], owed[k:]
+            # the lag check also caps both buffers (see `_settling_lags`)
+            if len(prod) - len(owed) not in settles[dst, fl, fr]:
+                return  # no accepting run can settle this lag
+            if not _can_emit(prep, dst, owed):
+                return  # t can never emit the awaited queue: no accepting run
+            found.append((cfg, label, (dst, prod, owed, fl, fr)))
+
         # epsilon arcs of t run freely between pair letters; the left letter
         # is $ (t stays put) or the input letter of one of t's arcs
         lefts = [(PAD, (), q, phase(fl, True))]
         for sym, out, dst in t.arcs_from(q):
             if sym is None:
-                store(cfg, None, out, dst, prod, owed, fl, fr)
+                store(None, out, dst, prod, owed, fl, fr)
             else:
                 lefts.append((sym, out, dst, phase(fl, False)))
         # the right letter is $, the head of prod, or any letter if prod is
@@ -760,14 +754,18 @@ def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> Pair
                 prod2, owed2 = prod[1:], owed
             else:
                 prod2, owed2 = prod, owed + (y,)
-                # whatever t emits next, from q on, must begin with owed2
+                # whatever t emits next, from q on, must begin with owed2;
+                # it may hold bound + 1 letters until `store` settles it
                 if not _can_emit(prep, q, owed2[:bound]):
                     continue
             for x, out, dst, nfl in lefts:
                 if nfl is not None and (x, y) != (PAD, PAD):
-                    store(cfg, (x, y), out, dst, prod2, owed2, nfl, nfr)
+                    store((x, y), out, dst, prod2, owed2, nfl, nfr)
+        return found
 
-    return PairAutomaton(_minimal_dfa(Nfa(letters, seen, init, accepting, transitions)), direction)
+    configs, transitions = _explore(init, arcs, state_limit, "synchronize")
+    accepting = {cfg for cfg in configs if cfg[0] in t.accepting and not cfg[1] and not cfg[2]}
+    return PairAutomaton(_minimal_dfa(Nfa(letters, configs, init, accepting, transitions)), direction)
 
 
 # -- export --------------------------------------------------------------
@@ -775,6 +773,7 @@ def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> Pair
 
 def _number_states(initial, transitions_by_state, all_states) -> dict:
     """Stable numbering: breadth-first from the initial states, then any rest."""
+    # its own loop, not `_sweep`: the visiting order is the numbering
     order: dict[State, int] = {}
     queue = deque(sorted(initial, key=repr))
     for q in queue:

@@ -255,6 +255,7 @@ def knuth_class(w: Sequence[int], max_class_size: int = DEFAULT_CLASS_BOUND) -> 
     start = tuple(w)
     n = max(start, default=1)
     moves = _relation_map(n)
+    # its own loop, not `automata._sweep`: `core` imports nothing from `automata`
     seen = {start}
     queue = deque([start])
     while queue:

@@ -9,7 +9,9 @@ left-to-right pass carrying one pending letter.
 Each is lifted to letters in one spelling pass, which reads a column letter
 by letter before firing the column multiplier's arc on it and writes the
 output columns letter by letter; synchronizing both padded encodings of the
-lift yields the four multiplier pair automata per generator.
+lift yields the four multiplier pair automata per generator.  The column
+multipliers and the lift are built from their reachable states by
+`automata._explore`: each construction gives only the arcs that leave a state.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from plactic.automata import (
     Nfa,
     PairAutomaton,
     Transducer,
+    _explore,
     compose_relations,
     reverse_relation,
     synchronize,
@@ -62,33 +65,28 @@ def right_multiplier(n: int, gamma: int) -> Transducer:
     cols = list(iter_columns(n))
 
     start = ("carry", (gamma,), None)
-    states = {start, "final"}
-    transitions = [(start, None, ((gamma,),), "final")]
-    work = [start]
 
-    def visit(q):
-        if q not in states:
-            states.add(q)
-            work.append(q)
-        return q
-
-    while work:
-        q = work.pop()
+    def arcs(q):
+        if q == "final":
+            return []
+        found = [(q, None, ((gamma,),), "final")] if q == start else []
         prev = q[-1]
         for s in cols:
             if prev is not None and not column_ge(s, prev):
                 continue
             if q[0] == "copy":
-                transitions.append((q, s, (s,), visit(("copy", s))))
+                found.append((q, s, (s,), ("copy", s)))
                 continue
             carried = q[1]
             product = product_columns(s, carried)
             if product is None:
-                transitions.append((q, s, (carried, s), visit(("copy", s))))
+                found.append((q, s, (carried, s), ("copy", s)))
                 continue
-            transitions.append((q, s, product[::-1], "final"))
-            transitions.append((q, s, product[1:], visit(("carry", product[0], s))))
+            found.append((q, s, product[::-1], "final"))
+            found.append((q, s, product[1:], ("carry", product[0], s)))
+        return found
 
+    states, transitions = _explore([start], arcs)
     accepting = {q for q in states if q == "final" or q[0] == "copy"}
     reversed_machine = Transducer(cols, cols, states, {start}, accepting, transitions)
     return trim(reverse_relation(reversed_machine))
@@ -103,39 +101,32 @@ def left_multiplier(n: int, gamma: int) -> Transducer:
     cols = list(iter_columns(n))
 
     start = ("pend", gamma, None)
-    states = {start, "final"}
-    transitions = []
-    work = [start]
 
-    def visit(q):
-        if q not in states:
-            states.add(q)
-            work.append(q)
-        return q
-
-    while work:
-        q = work.pop()
+    def arcs(q):
+        if q == "final":
+            return []
+        found = [(q, None, ((q[1],),), "final")] if q[0] == "pend" else []
         prev = q[-1]
-        if q[0] == "pend":
-            transitions.append((q, None, ((q[1],),), "final"))
         for s in cols:
             if prev is not None and not column_ge(prev, s):
                 continue
             if q[0] == "copy":
-                transitions.append((q, s, (s,), visit(("copy", s))))
+                found.append((q, s, (s,), ("copy", s)))
                 continue
             eta = q[1]
             product = product_columns((eta,), s)
             if product is None:
-                transitions.append((q, s, ((eta,), s), visit(("copy", s))))
+                found.append((q, s, ((eta,), s), ("copy", s)))
             elif len(product) == 1:
-                transitions.append((q, s, (product[0],), visit(("copy", s))))
+                found.append((q, s, (product[0],), ("copy", s)))
             else:
                 new_left, bumped = product
                 if len(bumped) != 1:
                     raise AssertionError("right column of a letter product must be a letter")
-                transitions.append((q, s, (new_left,), visit(("pend", bumped[0], s))))
+                found.append((q, s, (new_left,), ("pend", bumped[0], s)))
+        return found
 
+    states, transitions = _explore([start], arcs)
     accepting = {q for q in states if q == "final" or q[0] == "copy"}
     return trim(Transducer(cols, cols, states, {start}, accepting, transitions))
 
@@ -171,23 +162,18 @@ def _spelled(t: Transducer, n: int) -> Transducer:
         for k in range(len(sym or ())):
             grows.setdefault((r, sym[:k]), set()).add(sym[k])
     start = [(r, ()) for r in t.initial]
-    states = set(start)
-    transitions = []
-    work = list(start)
-    while work:
-        q = work.pop()
+
+    def arcs(q):
         r, p = q
-        nexts = [(x, (), (r, p + (x,))) for x in grows.get(q, ())]
-        nexts += [
-            (None, tuple(x for col in out for x in col), (r2, ()))
+        found = [(q, x, (), (r, p + (x,))) for x in grows.get(q, ())]
+        found += [
+            (q, None, tuple(x for col in out for x in col), (r2, ()))
             for sym, out, r2 in t.arcs_from(r)
             if sym == (p or None)
         ]
-        for sym, out, dst in nexts:
-            transitions.append((q, sym, out, dst))
-            if dst not in states:
-                states.add(dst)
-                work.append(dst)
+        return found
+
+    states, transitions = _explore(start, arcs)
     letters = range(1, n + 1)
     accepting = {(r, ()) for r in t.accepting} & states
     return trim(Transducer(letters, letters, states, start, accepting, transitions))

@@ -1,10 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from plactic.cli import main
 from plactic.core import iter_tableaux
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -330,3 +336,17 @@ def test_verify_rejects_negative_max_len(capsys):
     code, out, err = run(capsys, "verify", "--max-len", "-1", "core")
     assert_usage_error(code, out, err)
     assert "--max-len" in err
+
+
+def test_benchmark_tracer_installs():
+    # a traced benchmark run wraps named plactic functions and refuses a
+    # missing target or a reference it cannot rebind; install() rebinds the
+    # package's functions, so it runs in a child process
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    result = subprocess.run(
+        [sys.executable, "-c", 'from tracer import Tracer; Tracer("t").install()'],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr

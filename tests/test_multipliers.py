@@ -50,6 +50,21 @@ RIGHT_MULTIPLIER_STATES = {
     3: {1: (13, 37), 2: (11, 28), 3: (9, 21)},
 }
 
+# the same for the column left multiplier and its lift
+LEFT_MULTIPLIER_STATES = {
+    2: {1: (5, 14), 2: (5, 14)},
+    3: {1: (9, 43), 2: (10, 47), 3: (11, 53)},
+}
+
+# (states, transitions) of the rank-2 multipliers by two-letter words,
+# composed from the lifted multipliers by `compose_relations`
+GENERAL_MULTIPLIER_SIZES = {
+    ((1, 2), "right"): (84, 126),
+    ((1, 2), "left"): (83, 126),
+    ((2, 1), "right"): (82, 123),
+    ((2, 1), "left"): (60, 88),
+}
+
 # states of the lifted (right, left) multipliers at rank 3 and of
 # their quotients by bisimulation, which `synchronize` works on
 LIFTED_QUOTIENT_STATES = {
@@ -389,6 +404,22 @@ def test_right_multiplier_sizes_are_pinned():
                 len(lifted_multiplier(rank, gamma, "right").states),
             )
             assert sizes == counts, (rank, gamma)
+
+
+def test_left_multiplier_sizes_are_pinned():
+    for rank, by_gamma in LEFT_MULTIPLIER_STATES.items():
+        for gamma, counts in by_gamma.items():
+            sizes = (
+                len(left_multiplier(rank, gamma).states),
+                len(lifted_multiplier(rank, gamma, "left").states),
+            )
+            assert sizes == counts, (rank, gamma)
+
+
+def test_general_multiplier_sizes_are_pinned():
+    for (b, side), counts in GENERAL_MULTIPLIER_SIZES.items():
+        machine = general_multiplier(2, b, side)
+        assert (len(machine.states), len(machine.transitions)) == counts, (b, side)
 
 
 def test_pair_automata_are_minimal_dfas():
