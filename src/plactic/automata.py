@@ -5,12 +5,16 @@ None.  Machines are immutable after construction and all operations here are
 pure.  One breadth-first walk over reachable states, `_sweep`, serves every
 search here and in `multipliers` (through `_explore`, which also collects
 the transitions it follows), except the walks whose visiting order is their
-output and the per-word `transducer_outputs`.  `synchronize` turns a rational relation of
-bounded lag, one whose transducer emits as many letters as it reads on
-every cycle, into the minimal deterministic automaton over padded letter
-pairs.  It trims the transducer and quotients it by forward, then backward
-bisimulation; sweeps the lags of its path prefixes and suffixes; searches
-the configurations of the quotient against the pair string; and minimizes.
+output and the two transducer searches.  The verification sweeps decide a
+word set with `transducer_images`, one depth-first walk over the trie of
+the words (its epsilon closures come from `_sweep`); `transducer_outputs` is
+the per-word search, for `multiply` and as the tests' reference.
+`synchronize` turns a rational relation of bounded lag, one whose
+transducer emits as many letters as it reads on every cycle, into the
+minimal deterministic automaton over padded letter pairs.  It trims the
+transducer and quotients it by forward, then backward bisimulation; sweeps
+the lags of its path prefixes and suffixes; searches the configurations of
+the quotient against the pair string; and minimizes.
 A bisimulation quotient keeps the relation and the lag of every path, so it
 shrinks the search and changes neither the lags nor the result.  Everything
 before the search is a property of the transducer alone and is computed
@@ -159,10 +163,12 @@ def transducer_outputs(t: Transducer, u: Sequence[Symbol], bound: int = 10**6) -
     Raises ResourceLimit when more than `bound` configurations get explored,
     which signals an output-unbounded machine or too small a bound.
     """
-    # its own loop, not `_explore`: it runs once per word, in `verify` and in
-    # every `multiply`, and over the 1,554 searches of the six rank-3 lifts
-    # with gamma != eps the shared walk took 48-51 ms against 23 ms (medians
-    # of 15 rounds, 2 cores, Python 3.11)
+    # kept beside `transducer_images`: it is the tests' reference for that
+    # walk, and it serves the one word of `multiply`, where the walk's
+    # per-call arc index costs more than the search (a six-letter word on
+    # the rank-3 lift for gamma = 2: 0.21 ms against 0.05 ms; rank 4: 0.81
+    # against 0.10 ms; 2 cores, Python 3.11).  Its own loop, not `_explore`,
+    # which took twice as long over the rank-3 searches of `verify all`
     u = tuple(u)
     results: set[tuple] = set()
     seen: set[tuple] = set()
@@ -188,6 +194,68 @@ def transducer_outputs(t: Transducer, u: Sequence[Symbol], bound: int = 10**6) -
                 seen.add(nxt)
                 queue.append(nxt)
     return results
+
+
+def transducer_images(t: Transducer, words, bound: int = 10**6) -> dict[tuple, set[tuple]]:
+    """transducer_outputs(t, u) for every word u of words, by one
+    depth-first walk over the trie of the words.
+
+    Each trie node carries the configurations (output, state) of its
+    prefix, closed under epsilon arcs.  The epsilon closure of each state,
+    and an index of the arcs by letter and state with the closure of their
+    targets folded in, are built once per call, so one letter is one set
+    comprehension.  Raises ResourceLimit when an epsilon closure exceeds
+    `bound` configurations, which signals an output-unbounded machine.
+    """
+    # states are numbered, so a configuration hashes an output and an int
+    number = {q: i for i, q in enumerate(t.states)}
+    silent: dict[int, list[tuple[tuple, int]]] = {}
+    for src, sym, out, dst in t.transitions:
+        if sym is None:
+            silent.setdefault(number[src], []).append((out, number[dst]))
+    closures: dict[int, set] = {}
+
+    def closure(q):
+        if q not in closures:
+            closures[q] = _sweep(
+                {((), q)},
+                lambda cfg: [(cfg[0] + out, dst) for out, dst in silent.get(cfg[1], ())],
+                bound,
+                "transducer exploration",
+            )
+        return closures[q]
+
+    # step[x][q]: the configurations one letter x leads to from state q,
+    # epsilon-closed, each with the output emitted on the way
+    step: dict[Symbol, dict[int, set]] = {}
+    for src, sym, out, dst in t.transitions:
+        if sym is not None:
+            arcs = step.setdefault(sym, {}).setdefault(number[src], set())
+            arcs.update((out + e, r) for e, r in closure(number[dst]))
+    accepting = {number[q] for q in t.accepting}
+
+    images: dict[tuple, set[tuple]] = {}
+    # each entry holds the words that share their first i letters, a trie
+    # node, and the configurations that prefix reaches; it is split by the
+    # next letter.  A stack, not recursion: no depth limit, and no cycle
+    # through a nested function keeps the index alive after the call
+    stack = [(list(map(tuple, words)), 0, set().union(*(closure(number[q]) for q in t.initial)))]
+    while stack:
+        group, i, configs = stack.pop()
+        children: dict[Symbol, list[tuple]] = {}
+        for w in group:
+            if len(w) == i:
+                images[w] = {out for out, q in configs if q in accepting}
+            else:
+                children.setdefault(w[i], []).append(w)
+        for x, below in children.items():
+            by_state = step.get(x, {})
+            nxt = {(out + e, r) for out, q in configs for e, r in by_state.get(q, ())}
+            if nxt:
+                stack.append((below, i + 1, nxt))
+            else:
+                images.update((w, set()) for w in below)
+    return images
 
 
 def _sweep(seeds, successors, limit=None, what="search") -> set:

@@ -19,6 +19,7 @@ from plactic.automata import (
     nfa_to_json,
     reverse_relation,
     synchronize,
+    transducer_images,
     transducer_outputs,
     transducer_to_json,
     trim,
@@ -121,6 +122,26 @@ def test_transducer_outputs_bound():
     pump = Transducer(ABC, ABC, {0}, {0}, {0}, [(0, None, ("a",), 0)])
     with pytest.raises(ResourceLimit):
         transducer_outputs(pump, (), bound=50)
+
+
+def test_transducer_images_match_transducer_outputs():
+    # rotate_machine emits its last letter on an epsilon arc after the input
+    # ends; "z" is outside every alphabet here and cuts its subtree off
+    words = words_over(("a", "b"), 4) + [("z",), ("a", "z"), ("a", "z", "b")]
+    machines = [mixed_lag_machine(), rotate_machine(), drop_last_machine(("a", "b")),
+                append_two_machine()]
+    for t in machines:
+        assert transducer_images(t, words) == {u: transducer_outputs(t, u) for u in words}
+    assert transducer_images(rotate_machine(), [("a", "b")]) == {("a", "b"): {("b", "a")}}
+    # longer than the interpreter's recursion limit
+    long = ("a", "b") * 1500
+    assert transducer_images(copy_machine(("a", "b")), [long]) == {long: {long}}
+
+
+def test_transducer_images_bound():
+    pump = Transducer(ABC, ABC, {0}, {0}, {0}, [(0, None, ("a",), 0)])
+    with pytest.raises(ResourceLimit):
+        transducer_images(pump, [(), ("a",)], bound=50)
 
 
 def test_reverse_relation():

@@ -16,6 +16,7 @@ from plactic.automata import (
     delta_r,
     enumerate_accepted,
     nfa_to_json,
+    transducer_images,
     transducer_outputs,
 )
 from plactic.core import column_ge, iter_columns, iter_tableaux, tableau_of_word
@@ -163,6 +164,29 @@ def test_multiplier_outputs_stay_in_k():
         for u in k_words(3, 5):
             for v in transducer_outputs(rm, u) | transducer_outputs(lm, u):
                 assert k.accepts(v)
+
+
+def test_transducer_images_match_transducer_outputs():
+    # every column and lifted multiplier at ranks 2-4, both sides, on the
+    # tableau words (the empty tableau gives the empty word) and on the
+    # non-normal column pairs, which neither kind of machine reads
+    for n in (2, 3, 4):
+        cols = list(iter_columns(n))
+        non_k = [(a, b) for a in cols for b in cols if not column_ge(a, b)]
+        kwords = k_words(n, 6) + non_k
+        lwords = l_words(n, 6) + [a + b for a, b in non_k]
+        off_l = [w for w in lwords if tableau_of_word(w).column_reading() != w]
+        assert () in kwords and () in lwords and off_l
+        for gamma in [None] + list(range(1, n + 1)):
+            for side in ("right", "left"):
+                machines = [(lifted_multiplier(n, gamma, side), lwords, off_l)]
+                if gamma is not None:
+                    column = right_multiplier if side == "right" else left_multiplier
+                    machines.append((column(n, gamma), kwords, non_k))
+                for t, words, outside in machines:
+                    images = transducer_images(t, words)
+                    assert images == {u: transducer_outputs(t, u) for u in words}, (n, gamma, side)
+                    assert all(images[u] == set() for u in outside)
 
 
 def test_l_acceptor():
