@@ -12,18 +12,15 @@ the per-word search, for `multiply` and as the tests' reference.
 `synchronize` turns a rational relation of bounded lag, one whose
 transducer emits as many letters as it reads on every cycle, into the
 minimal deterministic automaton over padded letter pairs.  It trims the
-transducer and quotients it by forward, then backward bisimulation; sweeps
-the lags of its path prefixes and suffixes; searches the configurations of
-the quotient against the pair string; and minimizes.
-A bisimulation quotient keeps the relation and the lag of every path, so it
-shrinks the search and changes neither the lags nor the result.  Everything
-before the search is a property of the transducer alone and is computed
-once per transducer for both padding directions.  The search drops two
-kinds of configuration that lie on no accepting run: a lag that no path to
-acceptance can settle within the padding phases left, a test that also caps
-the buffer at the largest lag of a path prefix or suffix, and an awaited
-output that the transducer can no longer emit.  A relation of unbounded lag
-is refused with ValueError.
+transducer; sweeps the lags of its path prefixes and suffixes; searches
+the configurations of the transducer against the pair string; and
+minimizes.  Everything before the search is a property of the transducer
+alone and is computed once per transducer for both padding directions.
+The search drops two kinds of configuration that lie on no accepting run:
+a lag that no path to acceptance can settle within the padding phases
+left, a test that also caps the buffer at the largest lag of a path prefix
+or suffix, and an awaited output that the transducer can no longer emit.
+A relation of unbounded lag is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -361,12 +358,13 @@ def padded(u: Sequence, v: Sequence, direction: str) -> Iterator[tuple]:
 
 def delta_r(u: Sequence, v: Sequence) -> tuple:
     """Right-padded convolution, as a tuple of letter pairs."""
-    return tuple(padded(u, v, "R"))
+    return tuple(zip_longest(u, v, fillvalue=PAD))
 
 
 def delta_l(u: Sequence, v: Sequence) -> tuple:
     """Left-padded convolution, as a tuple of letter pairs."""
-    return tuple(padded(u, v, "L"))
+    d = len(u) - len(v)
+    return tuple(zip((PAD,) * -d + tuple(u), (PAD,) * d + tuple(v)))
 
 
 @dataclass(frozen=True)
@@ -514,64 +512,13 @@ def _lag_bound(t: Transducer) -> int:
     return max((abs(lag) for _, lag in prefix | suffix), default=0)
 
 
-def _refine(block: dict, signature) -> dict:
-    """Moore refinement of `block` (item -> block id): split blocks until
-    the items of each agree on signature(item, block)."""
-    count = len(set(block.values()))
-    while True:
-        ids: dict[tuple, int] = {}
-        refined = {x: ids.setdefault((b, signature(x, block)), len(ids)) for x, b in block.items()}
-        if len(ids) == count:
-            return block
-        block, count = refined, len(ids)
-
-
-def _forward_quotient(t: Transducer) -> Transducer:
-    """t with each class of forward-bisimilar states merged into one state.
-
-    Moore refinement, from the accepting / non-accepting split: two states
-    stay in one block while they have the same set of (input, output word,
-    target block) arcs.  The states of the result are the block numbers.
-    Every member of a block accepts the same relation, so the quotient keeps
-    t's relation, and each path of the quotient lifts to a path of t with
-    the same labels from any member of its first block.
-    """
-    block = _refine(
-        {q: int(q in t.accepting) for q in t.states},
-        lambda q, block: frozenset((sym, out, block[dst]) for sym, out, dst in t.arcs_from(q)),
-    )
-    return Transducer(
-        t.in_alphabet,
-        t.out_alphabet,
-        set(block.values()),
-        {block[q] for q in t.initial},
-        {block[q] for q in t.accepting},
-        [(block[src], sym, out, block[dst]) for src, sym, out, dst in t.transitions],
-    )
-
-
-def _bisimulation_quotient(t: Transducer) -> Transducer:
-    """t quotiented by forward, then by backward bisimulation (the forward
-    refinement of `reverse_relation(t)`, reversed back).
-
-    Each keeps the relation and the lags of every path.  A path of a forward
-    quotient lifts forward from any member of its first block, and a path
-    of a backward quotient lifts backward from any member of its last
-    block, to a path of t with the same labels.  All members of an
-    accepting block accept, and all members of an initial block of a
-    backward quotient are initial, so the lifts of accepting runs and of the
-    path prefixes and suffixes that `_lag_bound` weighs are those of t.
-    """
-    forward = _forward_quotient(t)
-    return reverse_relation(_forward_quotient(reverse_relation(forward)))
-
-
 @dataclass(frozen=True)
 class _Prepared:
-    """The trimmed bisimulation quotient of a transducer with its buffer
-    bound; for each state, the states its arcs with empty output reach
-    (`silent`, the state included) and its suffix lags, over all arcs and
-    over epsilon arcs alone; and the answers `_can_emit` has given so far."""
+    """A transducer, trimmed and with its states numbered 0..n-1, with its
+    buffer bound; for each state, the states its arcs with empty output
+    reach (`silent`, the state included) and its suffix lags, over all arcs
+    and over epsilon arcs alone; and the answers `_can_emit` has given so
+    far."""
 
     t: Transducer
     bound: int
@@ -582,7 +529,17 @@ class _Prepared:
 
 
 def _prepare(t: Transducer) -> _Prepared:
-    t = _bisimulation_quotient(trim(t))
+    t = trim(t)
+    # int states hash fast: configurations of the search hash their state
+    number = {q: i for i, q in enumerate(t.states)}
+    t = Transducer(
+        t.in_alphabet,
+        t.out_alphabet,
+        number.values(),
+        {number[q] for q in t.initial},
+        {number[q] for q in t.accepting},
+        [(number[src], sym, out, number[dst]) for src, sym, out, dst in t.transitions],
+    )
     prefix, suffix, eps_suffix = _lags(t)
     bound = max((abs(lag) for _, lag in prefix | suffix), default=0)  # _lag_bound(t)
     quiet = {q: [dst for _, out, dst in t.arcs_from(q) if not out] for q in t.states}
@@ -693,16 +650,24 @@ def _minimal_dfa(a: Nfa) -> Nfa:
             row[sym] = index[nxt]
         delta.append(row)
 
-    # Moore refinement, from the accepting / non-accepting split
+    # Moore refinement, from the accepting / non-accepting split: split the
+    # blocks until the subsets of each agree on their arcs' target blocks
     final = [bool(frontier & a.accepting) for frontier in subsets]
-    block = _refine(
-        {i: int(f) for i, f in enumerate(final)},
-        lambda i, block: tuple((s, block[d]) for s, d in delta[i].items()),
-    )
+    block = [int(f) for f in final]
+    count = len(set(block))
+    while True:
+        ids: dict[tuple, int] = {}
+        refined = [
+            ids.setdefault((b, tuple((s, block[d]) for s, d in row.items())), len(ids))
+            for b, row in zip(block, delta)
+        ]
+        if len(ids) == count:
+            break
+        block, count = refined, len(ids)
 
     # one subset stands for each block; number the blocks breadth-first
     rep = {}
-    for i, b in block.items():
+    for i, b in enumerate(block):
         rep.setdefault(b, i)
     number = {block[0]: 0}
     blocks = [block[0]]
@@ -721,16 +686,12 @@ def _minimal_dfa(a: Nfa) -> Nfa:
 def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> PairAutomaton:
     """Minimal DFA accepting the padded encodings of t's relation.
 
-    The steps: trim t; quotient it by forward, then backward bisimulation
-    (`_bisimulation_quotient`); sweep the quotient's lags (`_lags`) for the
-    buffer bound and each state's suffix lags; search the configurations,
-    asking on demand what each state can still emit (`_can_emit`);
-    minimize.  All steps before the search depend on t alone, so they run
-    once per transducer (`Transducer._prepared`), and its R and L machines
-    share them and the answers of `_can_emit`.  The quotient accepts t's
-    relation, and each of its paths lifts to a path of t with the same
-    labels, so it has the same lags and the same bound, and the drops below
-    stay sound.
+    The steps: trim t and number its states; sweep its lags (`_lags`) for
+    the buffer bound and each state's suffix lags; search the
+    configurations, asking on demand what each state can still emit
+    (`_can_emit`); minimize.  All steps before the search depend on t alone,
+    so they run once per transducer (`Transducer._prepared`), and its R and
+    L machines share them and the answers of `_can_emit`.
 
     Simulates t against the pair string with a buffer of emitted-but-unmatched
     (or awaited) output symbols.  The relation must have bounded lag: every

@@ -8,10 +8,12 @@ pass carrying one pending column, and left multiplication a single
 left-to-right pass carrying one pending letter.
 Each is lifted to letters in one spelling pass, which reads a column letter
 by letter before firing the column multiplier's arc on it and writes the
-output columns letter by letter; synchronizing both padded encodings of the
+output columns letter by letter.  Within a column the lift keys a state by
+what it can still do, the arcs that can finish the column, so states that
+agree on that are one state.  Synchronizing both padded encodings of the
 lift yields the four multiplier pair automata per generator.  The column
-multipliers and the lift are built from their reachable states by
-`automata._explore`: each construction gives only the arcs that leave a state.
+multipliers are built from their reachable states by `automata._explore`:
+each construction gives only the arcs that leave a state.
 """
 
 from __future__ import annotations
@@ -149,34 +151,40 @@ def _spelled(t: Transducer, n: int) -> Transducer:
     word relates to the spelling of each t-output of each factorization of
     the word into columns.
 
-    State (r, p) is at state r of t and has read the strictly decreasing
-    letters p of the next column.  A letter extends p only toward a column
-    that some arc of r reads (`grows` holds those letters by (r, p)); an
-    epsilon arc closes p and fires one of r's arcs on the column p,
-    emitting its output columns letter by letter.  t's own epsilon arcs
-    fire only between columns (p empty).  Only the reachable states are
-    built, and on a trim t each of them can reach acceptance.
+    State (r, ()) is at state r of t between columns, where t's own epsilon
+    arcs fire.  Within a column, after the strictly decreasing letters p,
+    a state is keyed by its residual arcs: the arcs of r whose column
+    begins with p, as (rest of the column, spelled output, target) triples.
+    So states that can finish the column in the same ways are one state.  A
+    letter reads on toward the columns that begin so, and an epsilon arc
+    closes the column when its rest is empty, emitting the output columns
+    letter by letter.  On a trim t every state built can reach acceptance.
     """
-    grows: dict = {}
-    for r, sym, _, _ in t.transitions:
-        for k in range(len(sym or ())):
-            grows.setdefault((r, sym[:k]), set()).add(sym[k])
-    start = [(r, ()) for r in t.initial]
-
-    def arcs(q):
-        r, p = q
-        found = [(q, x, (), (r, p + (x,))) for x in grows.get(q, ())]
-        found += [
-            (q, None, tuple(x for col in out for x in col), (r2, ()))
-            for sym, out, r2 in t.arcs_from(r)
-            if sym == (p or None)
-        ]
-        return found
-
-    states, transitions = _explore(start, arcs)
+    residual: dict = {}
+    transitions = []
+    for r, sym, out, r2 in t.transitions:
+        spelled = tuple(x for col in out for x in col)
+        if sym is None:
+            transitions.append(((r, ()), None, spelled, (r2, ())))
+        for k in range(1, len(sym or ()) + 1):
+            residual.setdefault((r, sym[:k]), set()).add((sym[k:], spelled, r2))
+    key = {rp: frozenset(arcs) for rp, arcs in residual.items()}
+    # short names, numbered by the first (r, p) of each residual in repr
+    # order: a frozenset's repr depends on the hash seed, and long names
+    # slow every later step
+    name: dict = {}
+    for rp in sorted(key, key=repr):
+        name.setdefault(key[rp], ("mid", len(name)))
+    for (r, p), arcs in key.items():
+        src = name[key[r, p[:-1]]] if len(p) > 1 else (r, ())
+        transitions.append((src, p[-1], (), name[arcs]))
+    for arcs, mid in name.items():
+        transitions += [(mid, None, out, (r2, ())) for rest, out, r2 in arcs if not rest]
     letters = range(1, n + 1)
-    accepting = {(r, ()) for r in t.accepting} & states
-    return trim(Transducer(letters, letters, states, start, accepting, transitions))
+    states = {(r, ()) for r in t.states} | set(name.values())
+    initial = {(r, ()) for r in t.initial}
+    accepting = {(r, ()) for r in t.accepting}
+    return trim(Transducer(letters, letters, states, initial, accepting, transitions))
 
 
 def identity_multiplier(n: int) -> Transducer:

@@ -10,7 +10,6 @@ from plactic import automata, multipliers, verify
 from plactic.automata import (
     Nfa,
     PairAutomaton,
-    _bisimulation_quotient,
     _lag_bound,
     delta_l,
     delta_r,
@@ -53,26 +52,17 @@ RIGHT_MULTIPLIER_STATES = {
 
 # the same for the column left multiplier and its lift
 LEFT_MULTIPLIER_STATES = {
-    2: {1: (5, 14), 2: (5, 14)},
-    3: {1: (9, 43), 2: (10, 47), 3: (11, 53)},
+    2: {1: (5, 10), 2: (5, 10)},
+    3: {1: (9, 25), 2: (10, 30), 3: (11, 31)},
 }
 
 # (states, transitions) of the rank-2 multipliers by two-letter words,
 # composed from the lifted multipliers by `compose_relations`
 GENERAL_MULTIPLIER_SIZES = {
     ((1, 2), "right"): (84, 126),
-    ((1, 2), "left"): (83, 126),
+    ((1, 2), "left"): (63, 93),
     ((2, 1), "right"): (82, 123),
-    ((2, 1), "left"): (60, 88),
-}
-
-# states of the lifted (right, left) multipliers at rank 3 and of
-# their quotients by bisimulation, which `synchronize` works on
-LIFTED_QUOTIENT_STATES = {
-    None: ((13, 12), (13, 12)),
-    1: ((37, 37), (43, 24)),
-    2: ((28, 28), (47, 29)),
-    3: ((21, 21), (53, 30)),
+    ((2, 1), "left"): (45, 64),
 }
 
 # sha256 over the JSON export of every rank-2 and rank-3 pair DFA; the DFAs
@@ -87,7 +77,7 @@ PAIR_DFA_RANK5_SHA256 = "e30f1eaac2f63eb81679acf46fd80c64da2160695218f1293a722a0
 
 # configurations `synchronize` builds for the 16 rank-3 pair automata, and
 # how many of them can reach acceptance
-RANK3_CONFIGURATIONS = (755, 684)
+RANK3_CONFIGURATIONS = (766, 692)
 
 
 def k_words(rank, max_cells):
@@ -494,9 +484,9 @@ def test_can_emit_matches_the_output_prefix_sets():
 
 def test_synchronize_builds_few_dead_configurations(monkeypatch):
     # count the configuration graphs handed to minimization, and the
-    # bisimulation quotients: R and L on one transducer share its quotient
-    built, live, quotients = [], [], []
-    minimal_dfa, quotient = automata._minimal_dfa, automata._bisimulation_quotient
+    # preparations: R and L on one transducer share its preparation
+    built, live, prepared = [], [], []
+    minimal_dfa, prepare = automata._minimal_dfa, automata._prepare
 
     def record(a):
         back = {}
@@ -507,32 +497,22 @@ def test_synchronize_builds_few_dead_configurations(monkeypatch):
         return minimal_dfa(a)
 
     monkeypatch.setattr(automata, "_minimal_dfa", record)
-    monkeypatch.setattr(automata, "_bisimulation_quotient", lambda t: quotients.append(t) or quotient(t))
+    monkeypatch.setattr(automata, "_prepare", lambda t: prepared.append(t) or prepare(t))
     for gamma in (None, 1, 2, 3):
         multiplier_pair_automata(3, gamma)
-    assert (len(built), len(quotients)) == (16, 8)
+    assert (len(built), len(prepared)) == (16, 8)
     assert (sum(built), sum(live)) == RANK3_CONFIGURATIONS
     assert sum(built) <= 1.2 * sum(live)
 
 
 def test_lag_bound_of_lifted_multipliers():
     # one column of letters, plus one for the product's extra letter; an R
-    # run that reads its $ before the final epsilon flush holds all n + 1.
-    # The quotient that synchronize works on has the same bound
+    # run that reads its $ before the final epsilon flush holds all n + 1
     for rank in (2, 3, 4):
         for gamma in [None] + list(range(1, rank + 1)):
             for side in ("right", "left"):
-                lifted = lifted_multiplier(rank, gamma, side)
-                bounds = (_lag_bound(lifted), _lag_bound(_bisimulation_quotient(lifted)))
                 expected = 0 if gamma is None else rank + 1
-                assert bounds == (expected, expected), (rank, gamma, side)
-
-
-def test_lifted_quotient_sizes_are_pinned():
-    for gamma, sizes in LIFTED_QUOTIENT_STATES.items():
-        for side, counts in zip(("right", "left"), sizes):
-            lifted = lifted_multiplier(3, gamma, side)
-            assert (len(lifted.states), len(_bisimulation_quotient(lifted).states)) == counts
+                assert _lag_bound(lifted_multiplier(rank, gamma, side)) == expected, (rank, gamma, side)
 
 
 def test_machines_export_ignores_hash_seed(tmp_path):
