@@ -358,13 +358,12 @@ def padded(u: Sequence, v: Sequence, direction: str) -> Iterator[tuple]:
 
 def delta_r(u: Sequence, v: Sequence) -> tuple:
     """Right-padded convolution, as a tuple of letter pairs."""
-    return tuple(zip_longest(u, v, fillvalue=PAD))
+    return tuple(padded(u, v, "R"))
 
 
 def delta_l(u: Sequence, v: Sequence) -> tuple:
     """Left-padded convolution, as a tuple of letter pairs."""
-    d = len(u) - len(v)
-    return tuple(zip((PAD,) * -d + tuple(u), (PAD,) * d + tuple(v)))
+    return tuple(padded(u, v, "L"))
 
 
 @dataclass(frozen=True)

@@ -253,46 +253,45 @@ def _check_multipliers(rep: Report, cfg: Config, rank: int, tabs: list, prefix: 
     rs = rewriting.generate_rules(rank, cfg.pair_budget)
     kwords = [t.columns for t in tabs]
     lwords = [t.column_reading() for t in tabs]
+
+    bad = []
+    for gamma in range(1, rank + 1):
+        rm = multipliers.right_multiplier(rank, gamma)
+        if gamma == 1:
+            # kept for the domain check below
+            rm1 = rm
+        right = automata.transducer_images(rm, kwords)
+        left = automata.transducer_images(multipliers.left_multiplier(rank, gamma), kwords)
+        for u in kwords:
+            if right[u] != {rewriting.normalize(u + ((gamma,),), rs)}:
+                bad.append(("right", gamma, u))
+            if left[u] != {rewriting.normalize(((gamma,),) + u, rs)}:
+                bad.append(("left", gamma, u))
+    rep.check(f"{prefix}column multipliers match normalization", 2 * rank * len(kwords), bad)
+
     non_k = [
         w
         for w in itertools.product(list(iter_columns(rank)), repeat=2)
         if not column_ge(w[0], w[1])
     ]
-    index = {u: i for i, u in enumerate(lwords)}
-    column_bad, domain_bad, lifted_bad, pair_bad = [], [], [], []
-    lifted_count = pair_count = 0
-    # one generator at a time: its column multipliers are built once, for
-    # the column check, the domain check (gamma = 1) and the lift, and let
-    # go before the next generator's.  The lifted multipliers and the pair
-    # automata are checked against the same product column readings
-    for gamma in [None] + list(range(1, rank + 1)):
-        if gamma is None:
-            lifted_by_side = {side: multipliers.lifted_multiplier(rank, None, side) for side in ("right", "left")}
-        else:
-            columns = {
-                "right": multipliers.right_multiplier(rank, gamma),
-                "left": multipliers.left_multiplier(rank, gamma),
-            }
-            right = automata.transducer_images(columns["right"], kwords)
-            left = automata.transducer_images(columns["left"], kwords)
-            for u in kwords:
-                if right[u] != {rewriting.normalize(u + ((gamma,),), rs)}:
-                    column_bad.append(("right", gamma, u))
-                if left[u] != {rewriting.normalize(((gamma,),) + u, rs)}:
-                    column_bad.append(("left", gamma, u))
-            if gamma == 1:
-                images = automata.transducer_images(columns["right"], non_k)
-                domain_bad = [u for u in non_k if images[u]]
-            # `lifted_multiplier`, from the column multipliers just built;
-            # popped, so they are freed before the search
-            lifted_by_side = {side: multipliers._spelled(columns.pop(side), rank) for side in ("right", "left")}
+    images = automata.transducer_images(rm1, non_k)
+    bad = [u for u in non_k if images[u]]
+    rep.check(f"{prefix}multiplier domain excludes non-normal words", len(non_k), bad)
 
+    # the lifted multipliers and the pair automata of each generator are
+    # checked against the same product column readings, computed once
+    index = {u: i for i, u in enumerate(lwords)}
+    lifted_bad, pair_bad = [], []
+    lifted_count = pair_count = 0
+    for gamma in [None] + list(range(1, rank + 1)):
         g = (gamma,) if gamma else ()
         right = {u: tableau_of_word(u + g).column_reading() for u in lwords}
         # without a generator both sides multiply by eps and share the products
         left = {u: tableau_of_word(g + u).column_reading() for u in lwords} if g else right
         products = {"right": right, "left": left}
-        for side, lifted in lifted_by_side.items():
+        lifted_by_side = {}
+        for side in ("right", "left"):
+            lifted = lifted_by_side[side] = multipliers.lifted_multiplier(rank, gamma, side)
             lifted_count += len(lwords)
             images = automata.transducer_images(lifted, lwords)
             for u in lwords:
@@ -312,8 +311,6 @@ def _check_multipliers(rep: Report, cfg: Config, rank: int, tabs: list, prefix: 
             wrong = pa.accepted_pairs(lwords) ^ graph
             for u, v in sorted(wrong, key=lambda pair: (index[pair[0]], index[pair[1]])):
                 pair_bad.append((side, direction, gamma, u, v))
-    rep.check(f"{prefix}column multipliers match normalization", 2 * rank * len(kwords), column_bad)
-    rep.check(f"{prefix}multiplier domain excludes non-normal words", len(non_k), domain_bad)
     rep.check(f"{prefix}lifted multipliers match tableau products", lifted_count, lifted_bad)
     rep.check(f"{prefix}pair automata agree with the product oracle", pair_count, pair_bad)
 
@@ -353,7 +350,7 @@ SUITES = {
 # the largest rank each suite runs at: the rewriting suite checks the critical
 # pairs of every rank up to the one given, yielded one at a time (623,010 at
 # rank 7), and the multipliers suite synchronizes every pair automaton of its
-# rank (all 28 at rank 6, about 10–13 s and 52 MB over 6 cells on 2 cores)
+# rank (all 28 at rank 6, about 10–14 s and 51 MB over 6 cells on 2 cores)
 RANK_CAPS = {"rewriting": 7, "multipliers": 6}
 
 

@@ -418,6 +418,9 @@ def test_right_multiplier_sizes_are_pinned():
                 len(lifted_multiplier(rank, gamma, "right").states),
             )
             assert sizes == counts, (rank, gamma)
+    # the empty-generator lift is the identity on L, on either side
+    for side in ("right", "left"):
+        assert len(lifted_multiplier(3, None, side).states) == 13, side
 
 
 def test_left_multiplier_sizes_are_pinned():
