@@ -494,23 +494,6 @@ def _lags(t: Transducer) -> tuple[set, set, set]:
     return lags(t.initial, fwd), lags(t.accepting, bwd), lags(t.accepting, bwd_eps)
 
 
-def _lag_bound(t: Transducer) -> int:
-    """The largest buffer any configuration on an accepting run of
-    `synchronize` needs for the trimmed transducer t; ValueError when t has
-    a cycle that emits more or fewer letters than it reads (see `_lags`).
-
-    A configuration's buffer holds |lag| letters, where lag = letters
-    emitted - right letters read.  On an accepting run for (u, v) at a state
-    with prefix lag a and suffix lag b, a + b = |v| - |u|, and the right
-    word is ahead of the left by k letters, k between 0 and a + b in every
-    padding phase of R and L.  So lag = a - k lies between a and -b, and the
-    largest |lag| of both sweeps caps the buffer without dropping any
-    configuration of an accepting run.
-    """
-    prefix, suffix, _ = _lags(t)
-    return max((abs(lag) for _, lag in prefix | suffix), default=0)
-
-
 @dataclass(frozen=True)
 class _Prepared:
     """A transducer, trimmed and with its states numbered 0..n-1, with its
@@ -528,6 +511,18 @@ class _Prepared:
 
 
 def _prepare(t: Transducer) -> _Prepared:
+    """Trim and number t and sweep its lags (ValueError when t has a cycle
+    that emits more or fewer letters than it reads, see `_lags`).
+
+    The buffer bound is the largest buffer any configuration on an accepting
+    run of `synchronize` needs.  A configuration's buffer holds |lag|
+    letters, where lag = letters emitted - right letters read.  On an
+    accepting run for (u, v) at a state with prefix lag a and suffix lag b,
+    a + b = |v| - |u|, and the right word is ahead of the left by k letters,
+    k between 0 and a + b in every padding phase of R and L.  So lag = a - k
+    lies between a and -b, and the largest |lag| of both sweeps caps the
+    buffer without dropping any configuration of an accepting run.
+    """
     t = trim(t)
     # int states hash fast: configurations of the search hash their state
     number = {q: i for i, q in enumerate(t.states)}
@@ -540,7 +535,7 @@ def _prepare(t: Transducer) -> _Prepared:
         [(number[src], sym, out, number[dst]) for src, sym, out, dst in t.transitions],
     )
     prefix, suffix, eps_suffix = _lags(t)
-    bound = max((abs(lag) for _, lag in prefix | suffix), default=0)  # _lag_bound(t)
+    bound = max((abs(lag) for _, lag in prefix | suffix), default=0)
     quiet = {q: [dst for _, out, dst in t.arcs_from(q) if not out] for q in t.states}
     silent = {q: _sweep({q}, lambda p: quiet[p]) for q in t.states}
 
@@ -595,7 +590,7 @@ def _settling_lags(p: _Prepared, right: bool) -> dict[tuple, set[int]]:
     configuration has its produced or its awaited buffer empty: a right
     letter joins the awaited queue only while nothing is produced, and
     emitted letters settle the queue before they extend prod.  So keeping d
-    in these sets caps both buffers at `bound`, the cap `_lag_bound` derives.
+    in these sets caps both buffers at `bound`, the cap `_prepare` derives.
     """
     span = range(-p.bound, p.bound + 1)
     unbounded = set(span)
@@ -699,9 +694,9 @@ def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> Pair
     each is sound by construction: it removes only configurations that lie
     on no accepting run.  A lag d = |produced| - |awaited| that no path from
     the t-state to acceptance can settle within the phases its flags leave
-    lies on none (see `_settling_lags`); every lag kept is at most
-    `_lag_bound(t)` in size, so no buffer is longer than any accepting run
-    needs (see `_lag_bound`).  An awaited queue that is not a
+    lies on none (see `_settling_lags`); every lag kept is at most the
+    buffer bound in size, so no buffer is longer than any accepting run
+    needs (see `_prepare`).  An awaited queue that is not a
     prefix of any output its t-state can still emit can never be emptied;
     a right letter that makes the queue such a word is not tried at all,
     since whatever t emits next must begin with it.  Construction aborts

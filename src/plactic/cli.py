@@ -1,15 +1,15 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure or cross-check mismatch,
-2 usage, parse or output-path errors.  All exports are byte-deterministic
-for a fixed set of flags.
+Exit codes: 0 success, 1 verification failure, cross-check mismatch or
+an exceeded resource bound (rules and gsb at rank 11 and above), 2 usage,
+parse or output-path errors and ranks above a command's cap.  All exports
+are byte-deterministic for a fixed set of flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -24,28 +24,10 @@ from plactic.core import (
 from plactic.errors import NotInL, OutputError, ParseError, PlacticError, RankError
 
 
-def _positive_int(name: str, text: str) -> int:
-    """A limit given as text; a non-integer or a value below 1 is bad input."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise ParseError(f"{name} must be an integer, got {text!r}") from None
-    if value < 1:
-        raise ParseError(f"{name} must be positive, got {value}")
-    return value
-
-
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    return _positive_int(name, value) if value else default
-
-
-def _pair_budget(args) -> int:
-    """--pair-budget, else PLACTIC_PAIR_BUDGET, else the default; read only
-    by rules, gsb and verify, the commands that build a rule table."""
-    if args.pair_budget is not None:
-        return args.pair_budget
-    return _env_int("PLACTIC_PAIR_BUDGET", rewriting.DEFAULT_PAIR_BUDGET)
+# the largest rank of the commands that build the column multipliers over
+# all 2^n - 1 columns: memory grows about 4x a rank (multiply --rank 9 takes
+# about 26 s and 680 MB, machines --rank 8 about 31 s and 220 MB, on 2 cores)
+RANK_CAPS = {"multiply": 9, "machines": 8}
 
 
 def cmd_tableau(args) -> int:
@@ -116,7 +98,7 @@ def _emit(args, text: str) -> None:
 
 
 def cmd_rules(args) -> int:
-    rs = rewriting.generate_rules(args.rank, _pair_budget(args))
+    rs = rewriting.generate_rules(args.rank)
     if args.format == "json":
         _emit(args, json.dumps(rewriting.rules_json(rs), indent=2, sort_keys=True) + "\n")
     else:
@@ -125,7 +107,7 @@ def cmd_rules(args) -> int:
 
 
 def cmd_gsb(args) -> int:
-    basis = rewriting.gsb_export(rewriting.generate_rules(args.rank, _pair_budget(args)))
+    basis = rewriting.gsb_export(rewriting.generate_rules(args.rank))
     if args.format == "json":
         _emit(args, json.dumps(rewriting.gsb_json(basis), indent=2, sort_keys=True) + "\n")
     else:
@@ -158,9 +140,7 @@ def cmd_machines(args) -> int:
     lifted = {side: multipliers.lifted_multiplier(rank, gamma, side) for side in ("right", "left")}
     for side, machine in lifted.items():
         render_t(f"{side}_multiplier_{gamma or 'eps'}", machine)
-    machines = multipliers.multiplier_pair_automata(
-        rank, gamma, _env_int("PLACTIC_MAX_STATES", 10**6), lifted=lifted
-    )
+    machines = multipliers.multiplier_pair_automata(rank, gamma, lifted=lifted)
     for (side, direction), pa in sorted(machines.items()):
         name = f"pair_{side}_{direction}_{gamma or 'eps'}"
         if args.format == "dot":
@@ -187,14 +167,7 @@ def cmd_machines(args) -> int:
 def cmd_verify(args) -> int:
     if args.max_len < 0:
         raise ParseError(f"--max-len must be non-negative, got {args.max_len}")
-    cfg = verify.Config(
-        rank=args.rank,
-        max_len=args.max_len,
-        thorough=args.thorough,
-        max_class_size=_env_int("PLACTIC_MAX_CLASS", 10**6),
-        state_limit=_env_int("PLACTIC_MAX_STATES", 10**6),
-        pair_budget=_pair_budget(args),
-    )
+    cfg = verify.Config(rank=args.rank, max_len=args.max_len, thorough=args.thorough)
     if args.thorough:
         cfg.rank = max(cfg.rank, 4)
         cfg.max_len = max(cfg.max_len, 7)
@@ -221,14 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--rank", type=int, default=rank_default, help="alphabet size")
 
-    def rule_table(p):
-        # only the commands that build a rule table take its budget
-        p.add_argument(
-            "--pair-budget",
-            type=lambda text: _positive_int("--pair-budget", text),
-            help="refuse ranks whose rule table exceeds this many entries",
-        )
-
     p = sub.add_parser("tableau", help="planar tableau and column reading of a word")
     common(p)
     p.add_argument("word")
@@ -249,14 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rules", help="export the rewriting rules")
     common(p)
-    rule_table(p)
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_rules)
 
     p = sub.add_parser("gsb", help="export the binomial basis")
     common(p)
-    rule_table(p)
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_gsb)
@@ -269,9 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_machines)
 
     p = sub.add_parser("verify", help="run the exhaustive verification suites")
-    common(p, rank_default=3)
-    rule_table(p)
-    p.add_argument("--max-len", type=int, default=6)
+    common(p, rank_default=verify.Config.rank)
+    p.add_argument("--max-len", type=int, default=verify.Config.max_len)
     p.add_argument(
         "--thorough", action="store_true", help="raise the rank to at least 4 and the length to at least 7"
     )
@@ -284,6 +246,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         check_rank(args.rank)
+        cap = RANK_CAPS.get(args.command)
+        if cap is not None and args.rank > cap:
+            raise RankError(f"{args.command} runs at --rank {cap} at most, got {args.rank}")
         return args.fn(args)
     except (ParseError, RankError, NotInL, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ class OutputError(PlacticError):
 
 
 class ResourceLimit(PlacticError):
-    """A configured search or memory bound was exceeded."""
+    """A fixed search or memory bound was exceeded."""
 
 
 class ViolationFound(PlacticError):

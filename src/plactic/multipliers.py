@@ -207,10 +207,7 @@ def lifted_multiplier(n: int, gamma: Optional[int], side: str = "right") -> Tran
 
 
 def multiplier_pair_automata(
-    n: int,
-    gamma: Optional[int],
-    state_limit: int = 10**6,
-    lifted: Optional[dict[str, Transducer]] = None,
+    n: int, gamma: Optional[int], lifted: Optional[dict[str, Transducer]] = None
 ) -> dict[tuple[str, str], PairAutomaton]:
     """The four padded multiplier automata for one generator: both sides,
     both padding directions.  gamma=None gives the empty-generator identity.
@@ -221,7 +218,7 @@ def multiplier_pair_automata(
     out: dict[tuple[str, str], PairAutomaton] = {}
     for side in ("right", "left"):
         for direction in ("R", "L"):
-            out[(side, direction)] = synchronize(lifted[side], direction, state_limit)
+            out[(side, direction)] = synchronize(lifted[side], direction)
     return out
 
 

@@ -26,8 +26,9 @@ from plactic.errors import ParseError, ResourceLimit, ViolationFound
 
 CWord = tuple[Column, ...]
 
-# (2^n - 1)^2 rule-table entries; refuse ranks that blow the table up.
-DEFAULT_PAIR_BUDGET = 4_000_000
+# (2^n - 1)^2 rule-table entries; refuse ranks that blow the table up
+# (rank 11 and above: 2,047^2 = 4,190,209).
+PAIR_BUDGET = 4_000_000
 
 ORDER_DESCRIPTION = "order: deglex; symbol order: |subscript| desc, then lex"
 
@@ -94,14 +95,15 @@ def _two_column_product(a: Column, b: Column) -> tuple[Column, ...]:
     return (left, tuple(sorted(taken, reverse=True))) if taken else (left,)
 
 
-def generate_rules(n: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RewritingSystem:
+def generate_rules(n: int) -> RewritingSystem:
     """One rule per ordered incomparable pair of columns, in generator order;
     each right side is the direct two-column product (`_two_column_product`),
-    equal to `product_columns` of the pair."""
+    equal to `product_columns` of the pair.  ResourceLimit when the table
+    would exceed PAIR_BUDGET entries."""
     check_rank(n)
     count = (2**n - 1) ** 2
-    if count > pair_budget:
-        raise ResourceLimit(f"rank {n} needs {count} rule-table entries (budget {pair_budget})")
+    if count > PAIR_BUDGET:
+        raise ResourceLimit(f"rank {n} needs {count} rule-table entries (budget {PAIR_BUDGET})")
     columns = sorted(iter_columns(n), key=column_key)
     rules = {}
     for a in columns:

@@ -29,9 +29,6 @@ class Config:
     rank: int = 3
     max_len: int = 6
     thorough: bool = False
-    max_class_size: int = 10**6
-    state_limit: int = 10**6
-    pair_budget: int = rewriting.DEFAULT_PAIR_BUDGET
 
 
 @dataclass
@@ -86,7 +83,7 @@ def verify_core(cfg: Config) -> Report:
 
     # readings are congruent to the word; classes coincide exactly with tableaux
     short = [w for w in words if len(w) <= min(max_len, 5)]
-    classes = {w: knuth_class(w, cfg.max_class_size) for w in short}
+    classes = {w: knuth_class(w) for w in short}
     bad = [
         w
         for w in short
@@ -129,7 +126,7 @@ def verify_core(cfg: Config) -> Report:
 def verify_rewriting(cfg: Config) -> Report:
     rep = Report("rewriting")
     top = min(cfg.rank + 2, RANK_CAPS["rewriting"]) if cfg.thorough else cfg.rank
-    tables = {n: rewriting.generate_rules(n, cfg.pair_budget) for n in range(1, top + 1)}
+    tables = {n: rewriting.generate_rules(n) for n in range(1, top + 1)}
     for n, rs in tables.items():
         cols = list(iter_columns(n))
         bad = [
@@ -247,10 +244,10 @@ def verify_automata(cfg: Config) -> Report:
     return rep
 
 
-def _check_multipliers(rep: Report, cfg: Config, rank: int, tabs: list, prefix: str) -> None:
+def _check_multipliers(rep: Report, rank: int, tabs: list, prefix: str) -> None:
     """Column, lifted and pair multipliers of one rank against normalization
     and tableau products, over the given tableaux; labels start with prefix."""
-    rs = rewriting.generate_rules(rank, cfg.pair_budget)
+    rs = rewriting.generate_rules(rank)
     kwords = [t.columns for t in tabs]
     lwords = [t.column_reading() for t in tabs]
 
@@ -301,9 +298,7 @@ def _check_multipliers(rep: Report, cfg: Config, rank: int, tabs: list, prefix: 
         # a machine must accept exactly the graph {(u, u*gamma)} inside
         # lwords x lwords; the symmetric difference is the failures, listed
         # in (u, v) index order
-        machines = multipliers.multiplier_pair_automata(
-            rank, gamma, state_limit=cfg.state_limit, lifted=lifted_by_side
-        )
+        machines = multipliers.multiplier_pair_automata(rank, gamma, lifted=lifted_by_side)
         for (side, direction), pa in machines.items():
             pair_count += len(lwords) ** 2
             expected = products[side]
@@ -320,7 +315,7 @@ def verify_multipliers(cfg: Config) -> Report:
     # --thorough keeps the default sweep and adds the given bounds after it
     base = Config() if cfg.thorough else cfg
     tabs = list(iter_tableaux(base.rank, base.max_len))
-    _check_multipliers(rep, cfg, base.rank, tabs, "")
+    _check_multipliers(rep, base.rank, tabs, "")
 
     seen = {}
     bad = []
@@ -335,7 +330,7 @@ def verify_multipliers(cfg: Config) -> Report:
 
     if cfg.thorough:
         tabs = list(iter_tableaux(cfg.rank, cfg.max_len))
-        _check_multipliers(rep, cfg, cfg.rank, tabs, f"rank {cfg.rank}: ")
+        _check_multipliers(rep, cfg.rank, tabs, f"rank {cfg.rank}: ")
     return rep
 
 

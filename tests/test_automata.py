@@ -10,7 +10,6 @@ from plactic.automata import (
     PairAutomaton,
     Transducer,
     _can_emit,
-    _lag_bound,
     compose_relations,
     delta_l,
     delta_r,
@@ -359,10 +358,10 @@ def test_can_emit_crosses_arcs_with_empty_output():
 
 def test_lag_bound():
     empty = Transducer(ABC, ABC, {0, 1}, {0}, {1}, [])
-    assert _lag_bound(trim(copy_machine())) == 0
-    assert _lag_bound(trim(append_machine())) == 1
-    assert _lag_bound(trim(append_two_machine())) == 2
-    assert _lag_bound(trim(empty)) == 0
+    assert copy_machine()._prepared.bound == 0
+    assert append_machine()._prepared.bound == 1
+    assert append_two_machine()._prepared.bound == 2
+    assert empty._prepared.bound == 0
 
 
 def per_pair(pa, words):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from plactic import multipliers
 from plactic.cli import main
 from plactic.core import iter_tableaux
 
@@ -204,14 +205,6 @@ def test_rule_table_budget_refusal(capsys):
     assert "rule-table entries" in err
 
 
-def test_verify_multipliers_honours_pair_budget(capsys):
-    code, _, err = run(
-        capsys, "verify", "--rank", "4", "--max-len", "3", "--pair-budget", "200", "multipliers"
-    )
-    assert code == 1
-    assert "rank 4 needs 225 rule-table entries (budget 200)" in err
-
-
 def test_normalize_parse_error_at_large_rank(capsys):
     code, out, err = run(capsys, "normalize", "--rank", "12", "1,x")
     assert_usage_error(code, out, err)
@@ -264,49 +257,24 @@ def assert_usage_error(code, out, err):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("name", ["PLACTIC_MAX_STATES", "PLACTIC_MAX_CLASS", "PLACTIC_PAIR_BUDGET"])
-def test_non_integer_environment_limit(capsys, monkeypatch, name):
-    # a limit that is not a positive integer is bad input, not a resource limit
-    for value in ("abc", "0", "-3"):
-        monkeypatch.setenv(name, value)
-        code, out, err = run(capsys, "verify", "--rank", "1", "--max-len", "1", "core")
-        assert_usage_error(code, out, err)
-        assert name in err
+FORMER_LIMIT_VARIABLES = ("PLACTIC_MAX_STATES", "PLACTIC_MAX_CLASS", "PLACTIC_PAIR_BUDGET")
+LIMIT_FREE_RUNS = [
+    ("verify", "--rank", "1", "--max-len", "1", "core"),
+    ("rules", "--rank", "2"),
+    ("machines", "--rank", "2", "--gamma", "1"),
+]
 
 
-def test_pair_budget_environment_only_where_a_rule_table_is_built(capsys, monkeypatch):
-    # tableau and normalize build no rule table, so a bad PLACTIC_PAIR_BUDGET
-    # is never read
-    monkeypatch.setenv("PLACTIC_PAIR_BUDGET", "0")
-    code, out, err = run(capsys, "tableau", "--rank", "2", "21")
-    assert code == 0
-    assert out == "2\n1\n21\n"
-    assert err == ""
-    code, out, err = run(capsys, "normalize", "--rank", "2", "121")
-    assert code == 0
-    assert out == "c_21 c_1\n211\n"
-    assert err == ""
-
-
-def test_non_positive_pair_budget(capsys):
-    code, out, err = run(capsys, "rules", "--rank", "2", "--pair-budget", "0")
-    assert_usage_error(code, out, err)
-    assert "--pair-budget must be positive" in err
-
-
-def test_machines_honours_state_limit(capsys, monkeypatch):
-    monkeypatch.setenv("PLACTIC_MAX_STATES", "50")
-    code, out, err = run(capsys, "machines", "--rank", "3", "--gamma", "1")
-    assert code == 1
-    assert out == ""
-    assert "synchronize exceeded 50 configurations" in err
-
-
-def test_machines_rejects_non_integer_state_limit(capsys, monkeypatch):
-    monkeypatch.setenv("PLACTIC_MAX_STATES", "abc")
-    code, out, err = run(capsys, "machines", "--rank", "3", "--gamma", "1")
-    assert_usage_error(code, out, err)
-    assert "PLACTIC_MAX_STATES" in err
+def test_limits_read_no_environment(capsys, monkeypatch):
+    # every bound is a constant: a value in a former override variable,
+    # even one that is no integer or not positive, changes nothing
+    expected = [run(capsys, *argv) for argv in LIMIT_FREE_RUNS]
+    for value in ("abc", "0"):
+        for name in FORMER_LIMIT_VARIABLES:
+            monkeypatch.setenv(name, value)
+        for argv, (code, out, err) in zip(LIMIT_FREE_RUNS, expected):
+            assert code == 0 and err == "", argv
+            assert run(capsys, *argv) == (code, out, err), (value, argv)
 
 
 @pytest.mark.parametrize(
@@ -315,15 +283,41 @@ def test_machines_rejects_non_integer_state_limit(capsys, monkeypatch):
         ("tableau", ["21"]),
         ("normalize", ["121"]),
         ("multiply", ["--side", "right", "21", "1"]),
+        ("rules", []),
+        ("gsb", []),
         ("machines", ["--gamma", "1"]),
+        ("verify", ["core"]),
     ],
-    ids=["tableau", "normalize", "multiply", "machines"],
+    ids=["tableau", "normalize", "multiply", "rules", "gsb", "machines", "verify"],
 )
 def test_pair_budget_only_where_a_rule_table_is_built(capsys, command, argv):
+    # the rule-table budget is a constant: no command takes --pair-budget
     with pytest.raises(SystemExit) as exc:
-        main([command, "--rank", "3", "--pair-budget", "5", *argv])
+        main([command, "--rank", "3", *argv, "--pair-budget", "5"])
     assert exc.value.code == 2
     assert "--pair-budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, cap, argv",
+    [("multiply", 9, ["--side", "right", "1", "1"]), ("machines", 8, ["--gamma", "1"])],
+    ids=["multiply", "machines"],
+)
+def test_rank_cap_refuses_before_construction(capsys, monkeypatch, command, cap, argv):
+    class Built(Exception):
+        pass
+
+    def build(*args, **kwargs):
+        raise Built
+
+    for name in ("right_multiplier", "left_multiplier", "lifted_multiplier"):
+        monkeypatch.setattr(multipliers, name, build)
+    code, out, err = run(capsys, command, "--rank", str(cap + 1), *argv)
+    assert_usage_error(code, out, err)
+    assert f"{command} runs at --rank {cap} at most, got {cap + 1}" in err
+    # the cap itself passes the check and reaches construction
+    with pytest.raises(Built):
+        main([command, "--rank", str(cap), *argv])
 
 
 def test_machines_rejects_multi_letter_generator(capsys):

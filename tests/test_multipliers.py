@@ -10,7 +10,6 @@ from plactic import automata, multipliers, verify
 from plactic.automata import (
     Nfa,
     PairAutomaton,
-    _lag_bound,
     delta_l,
     delta_r,
     enumerate_accepted,
@@ -329,8 +328,8 @@ def test_verify_reports_a_broken_pair_automaton(monkeypatch):
     real = multiplier_pair_automata
     key = ("right", "R")
 
-    def broken(n, gamma, state_limit=10**6, lifted=None):
-        machines = real(n, gamma, state_limit, lifted)
+    def broken(n, gamma, lifted=None):
+        machines = real(n, gamma, lifted)
         if gamma == 2:
             a = machines[key].nfa
             accepting = a.accepting - {min(a.accepting)}
@@ -515,7 +514,7 @@ def test_lag_bound_of_lifted_multipliers():
         for gamma in [None] + list(range(1, rank + 1)):
             for side in ("right", "left"):
                 expected = 0 if gamma is None else rank + 1
-                assert _lag_bound(lifted_multiplier(rank, gamma, side)) == expected, (rank, gamma, side)
+                assert lifted_multiplier(rank, gamma, side)._prepared.bound == expected, (rank, gamma, side)
 
 
 def test_machines_export_ignores_hash_seed(tmp_path):

@@ -90,8 +90,9 @@ def test_rule_shape_invariants():
 
 
 def test_generate_rules_budget():
-    with pytest.raises(ResourceLimit):
-        generate_rules(12, pair_budget=1000)
+    # rank 11 is the first whose table, 2,047^2 entries, exceeds the budget
+    with pytest.raises(ResourceLimit, match="rank 11 needs 4190209 rule-table entries"):
+        generate_rules(11)
 
 
 def test_word_less():
