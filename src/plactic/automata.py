@@ -2,12 +2,12 @@
 
 Symbols and states are arbitrary hashable values; epsilon is represented by
 None.  Machines are immutable after construction and all operations here are
-pure.  One breadth-first walk over reachable states, `_sweep`, serves every
-search here and in `multipliers` (through `_explore`, which also collects
-the transitions it follows), except the walks whose visiting order is their
-output and the two transducer searches.  The verification sweeps decide a
-word set with `transducer_images`, one depth-first walk over the trie of
-the words (its epsilon closures come from `_sweep`); `transducer_outputs` is
+pure.  Every search over states is `core._sweep`, which keeps the order it
+meets them in (`_explore` also collects the transitions it follows).  Only
+the walks over words keep loops of their own, `enumerate_accepted` and the
+trie walks of `transducer_images` and `PairAutomaton.accepted_pairs`, and,
+for speed, the subset construction of `_minimal_dfa`.  The verification
+sweeps decide a word set with `transducer_images`; `transducer_outputs` is
 the per-word search, for `multiply` and as the tests' reference.
 `synchronize` turns a rational relation of bounded lag, one whose
 transducer emits as many letters as it reads on every cycle, into the
@@ -25,13 +25,12 @@ A relation of unbounded lag is refused with ValueError.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import zip_longest
 from typing import Hashable, Iterator, Sequence
 
-from plactic.errors import ResourceLimit
+from plactic.core import _sweep
 
 PAD = "$"
 
@@ -102,7 +101,7 @@ def enumerate_accepted(a: Nfa, max_len: int) -> Iterator[tuple]:
     """All accepted words of length <= max_len, by pruned depth-first search."""
     symbols = sorted(a.alphabet, key=repr)
 
-    # its own walk, not `_sweep`: the words come out in the order it visits them
+    # its own walk, not `_sweep`: it yields words depth-first, not states
     def walk(frontier: frozenset, prefix: tuple):
         if frontier & a.accepting:
             yield prefix
@@ -163,34 +162,20 @@ def transducer_outputs(t: Transducer, u: Sequence[Symbol], bound: int = 10**6) -
     # kept beside `transducer_images`: it is the tests' reference for that
     # walk, and it serves the one word of `multiply`, where the walk's
     # per-call arc index costs more than the search (a six-letter word on
-    # the rank-3 lift for gamma = 2: 0.21 ms against 0.05 ms; rank 4: 0.81
-    # against 0.10 ms; 2 cores, Python 3.11).  Its own loop, not `_explore`,
-    # which took twice as long over the rank-3 searches of `verify all`
+    # the rank-3 lift for gamma = 2: 0.13-0.20 ms against 0.06 ms; rank 4:
+    # 0.50-0.54 against 0.12 ms; 2 cores, Python 3.11)
     u = tuple(u)
-    results: set[tuple] = set()
-    seen: set[tuple] = set()
-    queue: deque = deque()
-    for q in t.initial:
-        cfg = (q, 0, ())
-        seen.add(cfg)
-        queue.append(cfg)
-    while queue:
-        q, i, out = queue.popleft()
-        if i == len(u) and q in t.accepting:
-            results.add(out)
+
+    def successors(cfg):
+        q, i, out = cfg
         for sym, emitted, dst in t.arcs_from(q):
             if sym is None:
-                nxt = (dst, i, out + emitted)
+                yield dst, i, out + emitted
             elif i < len(u) and u[i] == sym:
-                nxt = (dst, i + 1, out + emitted)
-            else:
-                continue
-            if nxt not in seen:
-                if len(seen) >= bound:
-                    raise ResourceLimit(f"transducer exploration exceeded {bound} configurations")
-                seen.add(nxt)
-                queue.append(nxt)
-    return results
+                yield dst, i + 1, out + emitted
+
+    configs = _sweep([(q, 0, ()) for q in t.initial], successors, bound, "transducer exploration")
+    return {out for q, i, out in configs if i == len(u) and q in t.accepting}
 
 
 def transducer_images(t: Transducer, words, bound: int = 10**6) -> dict[tuple, set[tuple]]:
@@ -210,7 +195,7 @@ def transducer_images(t: Transducer, words, bound: int = 10**6) -> dict[tuple, s
     for src, sym, out, dst in t.transitions:
         if sym is None:
             silent.setdefault(number[src], []).append((out, number[dst]))
-    closures: dict[int, set] = {}
+    closures: dict[int, dict] = {}
 
     def closure(q):
         if q not in closures:
@@ -255,23 +240,7 @@ def transducer_images(t: Transducer, words, bound: int = 10**6) -> dict[tuple, s
     return images
 
 
-def _sweep(seeds, successors, limit=None, what="search") -> set:
-    """The states reachable from seeds, breadth-first; successors(state)
-    lists the next ones.  Raises ResourceLimit when a state beyond the seeds
-    would be added once `limit` states are known."""
-    seen = set(seeds)
-    queue = deque(seen)
-    while queue:
-        for nxt in successors(queue.popleft()):
-            if nxt not in seen:
-                if limit is not None and len(seen) >= limit:
-                    raise ResourceLimit(f"{what} exceeded {limit} configurations")
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
-
-
-def _explore(start, arcs, limit=None, what="search") -> tuple[set, list]:
+def _explore(start, arcs, limit=None, what="search") -> tuple[dict, list]:
     """The states reachable from start and the transitions leaving them, by
     `_sweep`; arcs(q) lists q's transitions, tuples that begin with q and end
     with their target."""
@@ -292,12 +261,11 @@ def trim(t: Transducer) -> Transducer:
     for src, _, _, dst in t.transitions:
         fwd.setdefault(src, set()).add(dst)
         bwd.setdefault(dst, set()).add(src)
-    reach = _sweep(t.initial, lambda q: fwd.get(q, ()))
-    keep = reach & _sweep(t.accepting, lambda q: bwd.get(q, ()))
+    keep = _sweep(t.initial, lambda q: fwd.get(q, ())).keys() & _sweep(t.accepting, lambda q: bwd.get(q, ()))
     return Transducer(
         t.in_alphabet,
         t.out_alphabet,
-        keep or {"dead"},
+        keep,
         t.initial & keep,
         t.accepting & keep,
         [tr for tr in t.transitions if tr[0] in keep and tr[3] in keep],
@@ -458,7 +426,7 @@ class PairAutomaton:
         return accepted
 
 
-def _lags(t: Transducer) -> tuple[set, set, set]:
+def _lags(t: Transducer) -> tuple[dict, dict, dict]:
     """The (state, lag) pairs of t's path prefixes, of its path suffixes, and
     of its path suffixes over epsilon arcs alone; ValueError when t has a
     cycle that emits more or fewer letters than it reads.
@@ -480,7 +448,7 @@ def _lags(t: Transducer) -> tuple[set, set, set]:
             bwd_eps.setdefault(dst, []).append((weight, src))
     ceiling = sum(abs(w) for arcs in fwd.values() for w, _ in arcs)
 
-    def lags(seeds, arcs) -> set:
+    def lags(seeds, arcs) -> dict:
         def successors(cfg):
             q, lag = cfg
             for weight, nxt in arcs.get(q, ()):
@@ -504,7 +472,7 @@ class _Prepared:
 
     t: Transducer
     bound: int
-    silent: dict[State, set[State]]
+    silent: dict[State, dict]
     suffix: dict[State, set[int]]
     eps_suffix: dict[State, set[int]]
     emits: dict[tuple[State, tuple], bool] = field(default_factory=dict, repr=False, compare=False)
@@ -535,7 +503,7 @@ def _prepare(t: Transducer) -> _Prepared:
         [(number[src], sym, out, number[dst]) for src, sym, out, dst in t.transitions],
     )
     prefix, suffix, eps_suffix = _lags(t)
-    bound = max((abs(lag) for _, lag in prefix | suffix), default=0)
+    bound = max((abs(lag) for _, lag in [*prefix, *suffix]), default=0)
     quiet = {q: [dst for _, out, dst in t.arcs_from(q) if not out] for q in t.states}
     silent = {q: _sweep({q}, lambda p: quiet[p]) for q in t.states}
 
@@ -618,7 +586,8 @@ def _minimal_dfa(a: Nfa) -> Nfa:
     back: dict[State, list[State]] = {}
     for src, _, dst in a.transitions:
         back.setdefault(dst, []).append(src)
-    live = _sweep(a.accepting, lambda q: back.get(q, ()))
+    # a frozenset: `start` and each frontier below are keys of `index`
+    live = frozenset(_sweep(a.accepting, lambda q: back.get(q, ())))
     # the letters on arcs from each state into a co-reachable one
     leaving: dict[State, set[Symbol]] = {}
     for src, sym, dst in a.transitions:
@@ -629,7 +598,8 @@ def _minimal_dfa(a: Nfa) -> Nfa:
     # state i (an empty language leaves the one empty frontier, a lone
     # rejecting state).  Only letters leaving the frontier lead anywhere;
     # they are tried in the sorted order, and each row lists its arcs in it.
-    # Its own loop, not `_sweep`: the visiting order numbers the subsets
+    # Its own loop, not `_explore`: as an `_explore` walk, minimizing all
+    # rank-6 pair DFAs took 1.38-1.61 s instead of 1.17-1.37 s (2 cores)
     start = a.start_set() & live
     subsets = [start]
     index = {start: 0}
@@ -659,22 +629,15 @@ def _minimal_dfa(a: Nfa) -> Nfa:
             break
         block, count = refined, len(ids)
 
-    # one subset stands for each block; number the blocks breadth-first
-    rep = {}
-    for i, b in enumerate(block):
-        rep.setdefault(b, i)
-    number = {block[0]: 0}
-    blocks = [block[0]]
-    transitions = []
-    for b in blocks:
-        for sym, dst in delta[rep[b]].items():
-            c = block[dst]
-            if c not in number:
-                number[c] = len(number)
-                blocks.append(c)
-            transitions.append((number[b], sym, number[c]))
-    accepting = {number[b] for b in blocks if final[rep[b]]}
-    return Nfa(a.alphabet, range(len(number)), {0}, accepting, transitions)
+    # the first subset of each block stands for it.  `refined` numbers the
+    # blocks in the order of their first subsets, which were found
+    # breadth-first over the sorted letters: a breadth-first numbering too
+    first: dict[int, int] = {}
+    for i, b in enumerate(refined):
+        first.setdefault(b, i)
+    transitions = [(b, sym, refined[dst]) for b, i in first.items() for sym, dst in delta[i].items()]
+    accepting = {b for b, i in first.items() if final[i]}
+    return Nfa(a.alphabet, range(count), {0}, accepting, transitions)
 
 
 def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> PairAutomaton:
@@ -794,23 +757,16 @@ def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> Pair
 # -- export --------------------------------------------------------------
 
 
-def _number_states(initial, transitions_by_state, all_states) -> dict:
-    """Stable numbering: breadth-first from the initial states, then any rest."""
-    # its own loop, not `_sweep`: the visiting order is the numbering
-    order: dict[State, int] = {}
-    queue = deque(sorted(initial, key=repr))
-    for q in queue:
-        order[q] = len(order)
-    while queue:
-        q = queue.popleft()
-        for dst in transitions_by_state.get(q, ()):
-            if dst not in order:
-                order[dst] = len(order)
-                queue.append(dst)
-    for q in sorted(all_states, key=repr):
-        if q not in order:
-            order[q] = len(order)
-    return order
+def _number_states(m) -> dict:
+    """Stable numbering of an Nfa's or a Transducer's states: breadth-first
+    from the repr-sorted initial states over the repr-sorted successors, then
+    the unreached states in repr order."""
+    succ: dict[State, list[State]] = {}
+    for tr in m.transitions:
+        succ.setdefault(tr[0], []).append(tr[-1])
+    reached = _sweep(sorted(m.initial, key=repr), lambda q: sorted(succ.get(q, ()), key=repr))
+    rest = sorted(m.states - reached.keys(), key=repr)
+    return {q: i for i, q in enumerate([*reached, *rest])}
 
 
 def _sym_label(sym) -> str:
@@ -822,10 +778,7 @@ def _sym_label(sym) -> str:
 
 
 def nfa_to_json(a: Nfa) -> dict:
-    succ: dict[State, list[State]] = {}
-    for src, _, dst in a.transitions:
-        succ.setdefault(src, []).append(dst)
-    num = _number_states(a.initial, {k: sorted(v, key=repr) for k, v in succ.items()}, a.states)
+    num = _number_states(a)
     return {
         "type": "nfa",
         "states": len(num),
@@ -839,10 +792,7 @@ def nfa_to_json(a: Nfa) -> dict:
 
 
 def transducer_to_json(t: Transducer) -> dict:
-    succ: dict[State, list[State]] = {}
-    for src, _, _, dst in t.transitions:
-        succ.setdefault(src, []).append(dst)
-    num = _number_states(t.initial, {k: sorted(v, key=repr) for k, v in succ.items()}, t.states)
+    num = _number_states(t)
     return {
         "type": "transducer",
         "states": len(num),

@@ -250,7 +250,7 @@ def main(argv=None) -> int:
         if cap is not None and args.rank > cap:
             raise RankError(f"{args.command} runs at --rank {cap} at most, got {args.rank}")
         return args.fn(args)
-    except (ParseError, RankError, NotInL, OutputError) as exc:
+    except (ParseError, NotInL, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PlacticError as exc:

@@ -2,7 +2,8 @@
 
 Letters are plain ints 1..rank, words are tuples of letters.  A tableau is
 stored canonically as its list of columns (each strictly decreasing, written
-top-to-bottom); row views are derived on demand.
+top-to-bottom); row views are derived on demand.  `_sweep`, the walk over
+states that every module searches with, lives here: they all import `core`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,24 @@ Word = tuple[int, ...]
 Column = tuple[int, ...]
 
 DEFAULT_CLASS_BOUND = 10**6
+
+
+def _sweep(seeds, successors, limit=None, what="search") -> dict:
+    """The states reachable from seeds, as the keys of a dict in visiting
+    order: the seeds in the order given, then breadth-first, each state's new
+    successors in the order successors(state) lists them.  Raises
+    ResourceLimit when a state beyond the seeds would be added once `limit`
+    states are known."""
+    seen = dict.fromkeys(seeds)
+    queue = deque(seen)
+    while queue:
+        for nxt in successors(queue.popleft()):
+            if nxt not in seen:
+                if limit is not None and len(seen) >= limit:
+                    raise ResourceLimit(f"{what} exceeded {limit} configurations")
+                seen[nxt] = None
+                queue.append(nxt)
+    return seen
 
 
 def check_rank(n: int) -> int:
@@ -253,25 +272,14 @@ def knuth_class(w: Sequence[int], max_class_size: int = DEFAULT_CLASS_BOUND) -> 
     relations preserve length so the search space is finite.
     """
     start = tuple(w)
-    n = max(start, default=1)
-    moves = _relation_map(n)
-    # its own loop, not `automata._sweep`: `core` imports nothing from `automata`
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
+    moves = _relation_map(max(start, default=1))
+
+    def successors(cur):
         for i in range(len(cur) - 2):
-            piece = cur[i : i + 3]
-            for rep in moves.get(piece, ()):
-                nxt = cur[:i] + rep + cur[i + 3 :]
-                if nxt not in seen:
-                    if len(seen) >= max_class_size:
-                        raise ResourceLimit(
-                            f"equivalence class of {start!r} exceeds {max_class_size}"
-                        )
-                    seen.add(nxt)
-                    queue.append(nxt)
-    return frozenset(seen)
+            for rep in moves.get(cur[i : i + 3], ()):
+                yield cur[:i] + rep + cur[i + 3 :]
+
+    return frozenset(_sweep([start], successors, max_class_size, f"equivalence class of {start!r}"))
 
 
 def knuth_equivalent(

@@ -13,7 +13,9 @@ what it can still do, the arcs that can finish the column, so states that
 agree on that are one state.  Synchronizing both padded encodings of the
 lift yields the four multiplier pair automata per generator.  The column
 multipliers are built from their reachable states by `automata._explore`:
-each construction gives only the arcs that leave a state.
+each construction gives only the arcs that leave a state.  They are trim:
+every carry state can read its last column again and every pend state has
+an epsilon arc to "final", so every state can also reach acceptance.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from plactic.automata import (
     compose_relations,
     reverse_relation,
     synchronize,
-    trim,
 )
 from plactic.core import check_rank, column_ge, iter_columns
 from plactic.errors import RankError
@@ -91,7 +92,7 @@ def right_multiplier(n: int, gamma: int) -> Transducer:
     states, transitions = _explore([start], arcs)
     accepting = {q for q in states if q == "final" or q[0] == "copy"}
     reversed_machine = Transducer(cols, cols, states, {start}, accepting, transitions)
-    return trim(reverse_relation(reversed_machine))
+    return reverse_relation(reversed_machine)
 
 
 def left_multiplier(n: int, gamma: int) -> Transducer:
@@ -130,7 +131,7 @@ def left_multiplier(n: int, gamma: int) -> Transducer:
 
     states, transitions = _explore([start], arcs)
     accepting = {q for q in states if q == "final" or q[0] == "copy"}
-    return trim(Transducer(cols, cols, states, {start}, accepting, transitions))
+    return Transducer(cols, cols, states, {start}, accepting, transitions)
 
 
 def build_l_acceptor(n: int) -> Nfa:
@@ -158,7 +159,8 @@ def _spelled(t: Transducer, n: int) -> Transducer:
     So states that can finish the column in the same ways are one state.  A
     letter reads on toward the columns that begin so, and an epsilon arc
     closes the column when its rest is empty, emitting the output columns
-    letter by letter.  On a trim t every state built can reach acceptance.
+    letter by letter.  On a trim t the lift is trim: every state built is
+    reached, and every state can reach acceptance.
     """
     residual: dict = {}
     transitions = []
@@ -184,7 +186,7 @@ def _spelled(t: Transducer, n: int) -> Transducer:
     states = {(r, ()) for r in t.states} | set(name.values())
     initial = {(r, ()) for r in t.initial}
     accepting = {(r, ()) for r in t.accepting}
-    return trim(Transducer(letters, letters, states, initial, accepting, transitions))
+    return Transducer(letters, letters, states, initial, accepting, transitions)
 
 
 def identity_multiplier(n: int) -> Transducer:

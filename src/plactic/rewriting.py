@@ -17,8 +17,10 @@ from plactic.core import (
     Column,
     Word,
     check_rank,
+    check_word,
     column_ge,
     format_word,
+    is_column,
     iter_columns,
     tableau_of_word,
 )
@@ -244,8 +246,6 @@ def decode_word(v: CWord) -> Word:
 def parse_cword(text: str, rank: int) -> CWord:
     """Parse `c:`-prefixed column words: c:21,1 (dots separate letters when
     the rank needs multi-digit letters, e.g. c:10.2,1)."""
-    from plactic.core import check_word, is_column
-
     body = text[2:] if text.startswith("c:") else text
     body = body.strip()
     if not body:

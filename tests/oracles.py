@@ -86,6 +86,24 @@ def all_words(rank, max_len):
     return words
 
 
+def breadth_first_numbering(nfa):
+    """The numbering of a DFA's states in the order a breadth-first walk
+    from its initial state meets them, each state's arcs taken in the repr
+    order of their letters; states it never meets are left out."""
+    succ = {}
+    for src, sym, dst in nfa.transitions:
+        succ.setdefault(src, []).append((repr(sym), dst))
+    (start,) = nfa.initial
+    number = {start: 0}
+    queue = [start]
+    for q in queue:
+        for _, dst in sorted(succ.get(q, ())):
+            if dst not in number:
+                number[dst] = len(number)
+                queue.append(dst)
+    return number
+
+
 def dfa_contract_violations(nfa):
     """Ways in which `nfa` fails to be a trim minimal DFA (empty when it is one).
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from plactic.core import (
     Tableau,
+    _sweep,
     column_ge,
     dominates,
     format_word,
@@ -128,8 +129,26 @@ def test_knuth_equivalent():
 
 
 def test_knuth_class_bound():
-    with pytest.raises(ResourceLimit):
+    with pytest.raises(ResourceLimit, match=r"equivalence class of \(1, 2, 3, .*\) exceeded 2 configurations"):
         knuth_class((1, 2, 3, 1, 2, 3, 1, 2), max_class_size=2)
+
+
+def test_sweep_visits_seeds_then_breadth_first():
+    # ints iterate from a set in hash order, 0 1 2 ..., which differs from
+    # the visiting order below
+    graph = {8: [6, 1], 3: [9, 0], 6: [2, 7], 1: [8, 5], 9: [4], 0: [3]}
+    reached = _sweep([8, 3], lambda q: graph.get(q, ()))
+    assert list(reached) == [8, 3, 6, 1, 9, 0, 2, 7, 5, 4]
+    assert list(reached) != list(set(reached))
+
+
+def test_sweep_limit():
+    chain = lambda q: [q + 1] if q < 4 else []
+    assert list(_sweep([0], chain, limit=5)) == [0, 1, 2, 3, 4]
+    with pytest.raises(ResourceLimit, match="^walk exceeded 4 configurations$"):
+        _sweep([0], chain, limit=4, what="walk")
+    # the seeds themselves are never refused
+    assert list(_sweep([5, 6, 7], chain, limit=1)) == [5, 6, 7]
 
 
 def test_schensted_theorem_small():

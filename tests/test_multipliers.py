@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from plactic import automata, multipliers, verify
+from plactic import automata, verify
 from plactic.automata import (
     Nfa,
     PairAutomaton,
@@ -16,6 +16,7 @@ from plactic.automata import (
     nfa_to_json,
     transducer_images,
     transducer_outputs,
+    trim,
 )
 from plactic.core import column_ge, iter_columns, iter_tableaux, tableau_of_word
 from plactic.multipliers import (
@@ -232,19 +233,15 @@ def test_spelled_matches_column_factorizations():
                 assert transducer_outputs(lifted, w) == expected, (gamma, w)
 
 
-def test_spelled_builds_no_state_that_trim_drops(monkeypatch):
-    # a pending column grows only toward a column its state reads, so every
-    # state the spelling pass builds can reach acceptance
-    handed = []
-    monkeypatch.setattr(
-        multipliers, "trim", lambda t: handed.append(t.states) or automata.trim(t)
-    )
-    for rank in (3, 4):
+def test_column_multipliers_and_lifts_are_trim():
+    # `multipliers` trims none of them: `_explore` builds only reachable
+    # states, every state it builds can reach acceptance, and a pending
+    # column of the lift grows only toward a column its state reads
+    for rank in (2, 3, 4, 5):
         for gamma in range(1, rank + 1):
             for t in (right_multiplier(rank, gamma), left_multiplier(rank, gamma)):
-                handed.clear()
-                lifted = _spelled(t, rank)
-                assert handed == [lifted.states], (rank, gamma)
+                for machine in (t, _spelled(t, rank)):
+                    assert trim(machine).states == machine.states, (rank, gamma)
 
 
 def test_lifted_relation_is_functional_on_l():
@@ -445,6 +442,16 @@ def test_pair_automata_are_minimal_dfas():
             assert tuple(len(machines[k].nfa.states) for k in KEYS) == counts
             for key in KEYS:
                 assert oracles.dfa_contract_violations(machines[key].nfa) == [], (rank, gamma, key)
+
+
+def test_pair_automata_are_numbered_breadth_first():
+    # state i is the i-th state met breadth-first from 0, each state's arcs
+    # taken in the repr order of their letters; the export digests rely on it
+    for rank in (2, 3, 4):
+        for gamma in [None] + list(range(1, rank + 1)):
+            for key, machine in multiplier_pair_automata(rank, gamma).items():
+                dfa = machine.nfa
+                assert oracles.breadth_first_numbering(dfa) == {q: q for q in dfa.states}, (rank, gamma, key)
 
 
 def pair_dfa_digest(ranks):
