@@ -10,6 +10,7 @@ from plactic.automata import (
     PairAutomaton,
     Transducer,
     _can_emit,
+    _minimal_dfa,
     compose_relations,
     delta_l,
     delta_r,
@@ -259,6 +260,40 @@ def test_dfa_contract_oracle_flags_defects():
     assert "states that cannot reach acceptance" in oracles.dfa_contract_violations(dead_end)
     redundant = Nfa({"a"}, {0, 1}, {0}, {0, 1}, [(0, "a", 1), (1, "a", 0)])
     assert "2 states but 1 Moore classes" in oracles.dfa_contract_violations(redundant)
+
+
+# hand-built inputs for `_minimal_dfa`, over the letters a and b
+MINIMIZE_CASES = {
+    # an epsilon cycle between 1 and the accepting state 2
+    "epsilon cycle": Nfa("ab", {0, 1, 2}, {0}, {2},
+                         [(0, "a", 1), (1, None, 2), (2, None, 1), (2, "b", 0), (1, "a", 1)]),
+    "two initial states": Nfa("ab", {0, 1, 2}, {0, 1}, {2}, [(0, "a", 2), (1, "b", 2), (2, "a", 2)]),
+    # 3 reaches acceptance but not from the start; a and b lead from 0 to
+    # states of different languages, so the letter order shows in the numbering
+    "unreachable state": Nfa("ab", {0, 1, 2, 3}, {0}, {1},
+                             [(0, "a", 1), (0, "b", 2), (2, "a", 1), (3, "b", 1), (3, "a", 3)]),
+    # 2 is reached but never reaches acceptance
+    "dead state": Nfa("ab", {0, 1, 2}, {0}, {1}, [(0, "a", 1), (0, "b", 2), (2, "a", 2), (1, "b", 0)]),
+    # the forward subsets {1} and {2} are distinct states of equal language
+    "mergeable subsets": Nfa("ab", {0, 1, 2, 3}, {0}, {3},
+                             [(0, "a", 1), (0, "b", 2), (1, "a", 3), (2, "a", 3), (3, "b", 0)]),
+    "no accepting state": Nfa("ab", {0, 1}, {0}, set(), [(0, "a", 1), (1, "b", 0)]),
+    "accepting state unreached": Nfa("ab", {0, 1, 2}, {0}, {2}, [(0, "a", 1), (2, "b", 2)]),
+}
+
+
+@pytest.mark.parametrize("name", MINIMIZE_CASES)
+def test_minimal_dfa_of_hand_built_nfas(name):
+    a = MINIMIZE_CASES[name]
+    dfa = _minimal_dfa(a)
+    assert set(enumerate_accepted(dfa, 6)) == set(enumerate_accepted(a, 6))
+    assert oracles.breadth_first_numbering(dfa) == {q: q for q in dfa.states}
+    if set(enumerate_accepted(a, 6)):
+        assert oracles.dfa_contract_violations(dfa) == []
+    else:
+        # the empty language keeps one rejecting state, which the oracle
+        # rightly flags as unable to reach acceptance
+        assert (dfa.states, dfa.accepting, dfa.transitions) == ({0}, set(), ())
 
 
 def test_pair_automaton_guard():

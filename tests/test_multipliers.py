@@ -454,6 +454,25 @@ def test_pair_automata_are_numbered_breadth_first():
                 assert oracles.breadth_first_numbering(dfa) == {q: q for q in dfa.states}, (rank, gamma, key)
 
 
+def reversed_nfa(a):
+    return Nfa(a.alphabet, a.states, a.accepting, a.initial, [(dst, sym, src) for src, sym, dst in a.transitions])
+
+
+def test_padding_directions_mirror_each_other():
+    # reversing delta_L(u, v) gives delta_R of the reversed words, so the L
+    # machine of t is the minimized reversal of the R machine of t's reversed
+    # relation, and the other way round; both routes must give equal bytes
+    for rank in (2, 3, 4):
+        for gamma in [None] + list(range(1, rank + 1)):
+            for side in ("right", "left"):
+                t = lifted_multiplier(rank, gamma, side)
+                mirror = automata.reverse_relation(t)
+                for direction, other in (("L", "R"), ("R", "L")):
+                    via = automata._minimal_dfa(reversed_nfa(automata.synchronize(mirror, other).nfa))
+                    direct = automata.synchronize(t, direction).nfa
+                    assert nfa_to_json(via) == nfa_to_json(direct), (rank, gamma, side, direction)
+
+
 def pair_dfa_digest(ranks):
     digest = hashlib.sha256()
     for rank in ranks:
