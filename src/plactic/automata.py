@@ -5,11 +5,11 @@ None.  Machines are immutable after construction and all operations here are
 pure.  Every search over states is `core._sweep`, which keeps the order it
 meets them in (`_explore` also collects the transitions it follows).  Only
 the walks over words keep loops of their own, `enumerate_accepted` and the
-trie walks of `transducer_images` and `PairAutomaton.accepted_pairs`, and,
-for speed, the subset construction that `_minimal_dfa` runs twice to
-minimize by double reversal.  The verification
-sweeps decide a word set with `transducer_images`; `transducer_outputs` is
-the per-word search, for `multiply` and as the tests' reference.
+trie walks of `transducer_images` and `PairAutomaton.accepted_pairs`.
+`_minimal_dfa` minimizes by double reversal: one subset construction, an
+`_explore` walk, run twice.  The verification sweeps decide a word set
+with `transducer_images`; `transducer_outputs` is the per-word search, for
+`multiply` and as the tests' reference.
 `synchronize` turns a rational relation of bounded lag, one whose
 transducer emits as many letters as it reads on every cycle, into the
 minimal deterministic automaton over padded letter pairs.  It trims the
@@ -589,26 +589,18 @@ def _reversed_subsets(start, arcs, order: dict) -> tuple[list[frozenset], list[t
             step.setdefault(src, {}).setdefault(sym, []).append(dst)
 
     def close(states) -> frozenset:
-        return frozenset(_sweep(states, lambda q: eps.get(q, ()))) if eps else frozenset(states)
+        return frozenset(_sweep(states, lambda q: eps.get(q, ())))
 
-    # its own loop, not `_explore`: minimizing all 28 rank-6 pair DFAs took
-    # 0.70-1.14 s (median 0.83) against 0.79-1.30 s (median 0.94) as an
-    # `_explore` walk, 12 alternated rounds on 2 cores
-    subsets = [close(start)]
-    index = {subsets[0]: 0}
-    found = []
-    for i, frontier in enumerate(subsets):
-        moves: dict[Symbol, set[State]] = {}
+    def moves(frontier):
+        out: dict[Symbol, set[State]] = {}
         for q in frontier:
             for sym, dsts in step.get(q, {}).items():
-                moves.setdefault(sym, set()).update(dsts)
-        for sym in sorted(moves, key=order.__getitem__):
-            nxt = close(moves[sym])
-            if nxt not in index:
-                index[nxt] = len(subsets)
-                subsets.append(nxt)
-            found.append((i, sym, index[nxt]))
-    return subsets, found
+                out.setdefault(sym, set()).update(dsts)
+        return [(frontier, sym, close(out[sym])) for sym in sorted(out, key=order.__getitem__)]
+
+    subsets, found = _explore([close(start)], moves)
+    index = {subset: i for i, subset in enumerate(subsets)}
+    return list(subsets), [(index[src], sym, index[dst]) for src, sym, dst in found]
 
 
 def _minimal_dfa(a: Nfa) -> Nfa:

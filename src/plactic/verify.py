@@ -345,7 +345,7 @@ SUITES = {
 # the largest rank each suite runs at: the rewriting suite checks the critical
 # pairs of every rank up to the one given, yielded one at a time (623,010 at
 # rank 7), and the multipliers suite synchronizes every pair automaton of its
-# rank (all 28 at rank 6, about 10–14 s and 48 MB over 6 cells on 2 cores)
+# rank (all 28 at rank 6, about 10–14 s and 49 MB over 6 cells on 2 cores)
 RANK_CAPS = {"rewriting": 7, "multipliers": 6}
 
 
