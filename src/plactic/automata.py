@@ -162,9 +162,11 @@ def transducer_outputs(t: Transducer, u: Sequence[Symbol], bound: int = 10**6) -
     """
     # kept beside `transducer_images`: it is the tests' reference for that
     # walk, and it serves the one word of `multiply`, where the walk's
-    # per-call arc index costs more than the search (a six-letter word on
-    # the rank-3 lift for gamma = 2: 0.13-0.20 ms against 0.06 ms; rank 4:
-    # 0.50-0.54 against 0.12 ms; 2 cores, Python 3.11)
+    # per-call arc index costs more than the search, also on the lift over
+    # the word's own columns (gamma = 2 on a six-letter word at rank 3 or 4:
+    # 0.08-0.10 ms against 0.02-0.03 ms; gamma = 10 on an 18-letter word at
+    # rank 20: 0.38-0.53 against 0.04-0.12 ms; both sides, 2 cores, Python
+    # 3.11)
     u = tuple(u)
 
     def successors(cfg):
@@ -678,7 +680,13 @@ def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> Pair
     letters = [(x, y) for x in base + [PAD] for y in base + [PAD] if (x, y) != (PAD, PAD)]
 
     def phase(flag, pad):
-        # the side's new flag, or None when it may not read this symbol
+        # the side's new flag, or None when it may not read this symbol.
+        # Under R the None is the only guard: False there changes the pair
+        # DFAs of the multipliers.  Under L, when every state has one suffix
+        # lag b (as on every multiplier), d + b is what remains of r - l, and
+        # a side that reads $ after its letters leaves a lag outside the
+        # `_settling_lags` set of its new flags, so those DFAs come out the
+        # same without it; the None keeps L sound for other transducers
         return True if pad == right else (None if flag else False)
 
     # configuration: (t-state, produced, awaited, left flag, right flag), a

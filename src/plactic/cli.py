@@ -17,6 +17,7 @@ from pathlib import Path
 from plactic import automata, multipliers, rewriting, verify
 from plactic.core import (
     check_rank,
+    column_runs,
     format_word,
     parse_word,
     tableau_of_word,
@@ -25,9 +26,9 @@ from plactic.errors import NotInL, OutputError, ParseError, PlacticError, RankEr
 
 
 # the largest rank of the commands that build the column multipliers over
-# all 2^n - 1 columns: memory grows about 4x a rank (multiply --rank 9 takes
-# about 26 s and 680 MB, machines --rank 8 about 31 s and 220 MB, on 2 cores)
-RANK_CAPS = {"multiply": 9, "machines": 8}
+# all 2^n - 1 columns: memory grows about 4x a rank (machines --rank 8 takes
+# about 31 s and 220 MB on 2 cores)
+RANK_CAPS = {"machines": 8}
 
 
 def cmd_tableau(args) -> int:
@@ -57,8 +58,9 @@ def cmd_multiply(args) -> int:
     gamma = parse_word(args.gamma, rank)
     if len(gamma) != 1:
         raise ParseError(f"generator must be a single letter, got {args.gamma!r}")
-    machine = multipliers.lifted_multiplier(rank, gamma[0], args.side)
-    # the lifted multiplier's domain is exactly L
+    # over u's runs the machine gives u the outputs of the machine over all
+    # columns (see `multipliers`), none when u is not in L
+    machine = multipliers.lifted_multiplier(rank, gamma[0], args.side, set(column_runs(u)))
     outputs = automata.transducer_outputs(machine, u)
     if not outputs:
         raise NotInL(f"{args.word!r} is not a column reading of a tableau")

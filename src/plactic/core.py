@@ -85,6 +85,17 @@ def is_column(w: Sequence[int]) -> bool:
     return all(w[i] > w[i + 1] for i in range(len(w) - 1))
 
 
+def column_runs(w: Sequence[int]) -> tuple[Column, ...]:
+    """The maximal strictly decreasing runs of w, left to right."""
+    runs: list[list[int]] = []
+    for x in w:
+        if runs and runs[-1][-1] > x:
+            runs[-1].append(x)
+        else:
+            runs.append([x])
+    return tuple(tuple(r) for r in runs)
+
+
 def dominates(a: Sequence[int], b: Sequence[int]) -> bool:
     """Row domination: a is no longer than b and exceeds it letterwise."""
     return len(a) <= len(b) and all(a[i] > b[i] for i in range(len(a)))

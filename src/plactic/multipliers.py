@@ -16,11 +16,17 @@ multipliers are built from their reachable states by `automata._explore`:
 each construction gives only the arcs that leave a state.  They are trim:
 every carry state can read its last column again and every pend state has
 an epsilon arc to "final", so every state can also reach acceptance.
+
+A column multiplier reads every column of its rank, or only the `columns`
+it is given.  A word of L factors into a word of K only by its maximal
+strictly decreasing runs, since at each column boundary the letters do not
+descend; so the machine over a word's runs gives that word the outputs of
+the machine over all 2^n - 1 columns, and `multiply` builds no more.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from plactic.automata import (
     Nfa,
@@ -31,7 +37,7 @@ from plactic.automata import (
     reverse_relation,
     synchronize,
 )
-from plactic.core import check_rank, column_ge, iter_columns
+from plactic.core import Column, check_rank, column_ge, iter_columns
 from plactic.errors import RankError
 from plactic.rewriting import product_columns
 
@@ -47,7 +53,7 @@ def build_k_acceptor(n: int) -> Nfa:
     return Nfa(cols, states, {"start"}, set(states), transitions)
 
 
-def right_multiplier(n: int, gamma: int) -> Transducer:
+def right_multiplier(n: int, gamma: int, columns: Optional[Iterable[Column]] = None) -> Transducer:
     """Transducer for right multiplication by `gamma` on K: a single
     right-to-left pass carrying one pending column, built from the rewriting
     rules.
@@ -61,11 +67,14 @@ def right_multiplier(n: int, gamma: int) -> Transducer:
     left column is carried on and its right column, if any, is emitted.  One
     pass is enough because each emitted column is `column_ge` the column
     emitted before it, so the output is the normal form.
+
+    The machine reads `columns`, all columns of rank n by default; its
+    output alphabet is the columns its arcs emit.
     """
     check_rank(n)
     if not 1 <= gamma <= n:
         raise RankError(f"letter {gamma} outside 1..{n}")
-    cols = list(iter_columns(n))
+    cols = list(iter_columns(n) if columns is None else columns)
 
     start = ("carry", (gamma,), None)
 
@@ -89,19 +98,17 @@ def right_multiplier(n: int, gamma: int) -> Transducer:
             found.append((q, s, product[1:], ("carry", product[0], s)))
         return found
 
-    states, transitions = _explore([start], arcs)
-    accepting = {q for q in states if q == "final" or q[0] == "copy"}
-    reversed_machine = Transducer(cols, cols, states, {start}, accepting, transitions)
-    return reverse_relation(reversed_machine)
+    return reverse_relation(_column_machine(cols, start, arcs))
 
 
-def left_multiplier(n: int, gamma: int) -> Transducer:
+def left_multiplier(n: int, gamma: int, columns: Optional[Iterable[Column]] = None) -> Transducer:
     """Transducer for left multiplication by `gamma` on K: a single
-    left-to-right pass storing one pending letter."""
+    left-to-right pass storing one pending letter.  The machine reads
+    `columns` as `right_multiplier` does."""
     check_rank(n)
     if not 1 <= gamma <= n:
         raise RankError(f"letter {gamma} outside 1..{n}")
-    cols = list(iter_columns(n))
+    cols = list(iter_columns(n) if columns is None else columns)
 
     start = ("pend", gamma, None)
 
@@ -129,9 +136,16 @@ def left_multiplier(n: int, gamma: int) -> Transducer:
                 found.append((q, s, (new_left,), ("pend", bumped[0], s)))
         return found
 
+    return _column_machine(cols, start, arcs)
+
+
+def _column_machine(cols: list[Column], start, arcs) -> Transducer:
+    """The column multiplier over the reachable states of arcs from start,
+    reading cols and writing the columns its arcs emit."""
     states, transitions = _explore([start], arcs)
     accepting = {q for q in states if q == "final" or q[0] == "copy"}
-    return Transducer(cols, cols, states, {start}, accepting, transitions)
+    emitted = {c for _, _, out, _ in transitions for c in out}
+    return Transducer(cols, emitted, states, {start}, accepting, transitions)
 
 
 def build_l_acceptor(n: int) -> Nfa:
@@ -198,13 +212,17 @@ def identity_multiplier(n: int) -> Transducer:
     )
 
 
-def lifted_multiplier(n: int, gamma: Optional[int], side: str = "right") -> Transducer:
-    """Multiplier over letters for one generator (None = empty generator)."""
+def lifted_multiplier(
+    n: int, gamma: Optional[int], side: str = "right", columns: Optional[Iterable[Column]] = None
+) -> Transducer:
+    """Multiplier over letters for one generator (None = empty generator),
+    lifted from the column multiplier that reads `columns`."""
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     if gamma is None:
         return identity_multiplier(n)
-    base = right_multiplier(n, gamma) if side == "right" else left_multiplier(n, gamma)
+    build = right_multiplier if side == "right" else left_multiplier
+    base = build(n, gamma, columns)
     return _spelled(base, n)
 
 

@@ -80,6 +80,18 @@ def test_multiply_rejects_non_normal_input(capsys):
     assert "column reading" in err
 
 
+def test_multiply_at_large_rank(capsys):
+    # the machine reads only the word's columns, so no rank is too large
+    cases = [(20, "20,17,9,3,1,18,12,5,2,19,15,14,4,20,16,7,18,11", "10"), (50, "50,41,33,2,49,40,7,45,44", "17")]
+    for rank, u, gamma in cases:
+        for side in ("right", "left"):
+            code, out, err = run(capsys, "multiply", "--rank", str(rank), "--side", side, "--check", u, gamma)
+            assert (code, err) == (0, ""), (rank, side)
+    code, _, err = run(capsys, "multiply", "--rank", "20", "--side", "right", "1,2,1", "3")
+    assert code == 2
+    assert "not a column reading" in err
+
+
 def test_rules_json(capsys):
     code, out, _ = run(capsys, "rules", "--rank", "2", "--format", "json")
     assert code == 0
@@ -298,11 +310,7 @@ def test_pair_budget_only_where_a_rule_table_is_built(capsys, command, argv):
     assert "--pair-budget" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "command, cap, argv",
-    [("multiply", 9, ["--side", "right", "1", "1"]), ("machines", 8, ["--gamma", "1"])],
-    ids=["multiply", "machines"],
-)
+@pytest.mark.parametrize("command, cap, argv", [("machines", 8, ["--gamma", "1"])], ids=["machines"])
 def test_rank_cap_refuses_before_construction(capsys, monkeypatch, command, cap, argv):
     class Built(Exception):
         pass

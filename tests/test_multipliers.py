@@ -18,7 +18,7 @@ from plactic.automata import (
     transducer_outputs,
     trim,
 )
-from plactic.core import column_ge, iter_columns, iter_tableaux, tableau_of_word
+from plactic.core import column_ge, column_runs, iter_columns, iter_tableaux, tableau_of_word
 from plactic.multipliers import (
     _spelled,
     build_k_acceptor,
@@ -177,6 +177,20 @@ def test_transducer_images_match_transducer_outputs():
                     images = transducer_images(t, words)
                     assert images == {u: transducer_outputs(t, u) for u in words}, (n, gamma, side)
                     assert all(images[u] == set() for u in outside)
+
+
+def test_lift_over_the_word_runs_matches_the_full_lift():
+    # `multiply` builds the machine over the runs of its word alone: on every
+    # letter word, in L or not, that machine gives the word the outputs of
+    # the machine over all columns
+    for n, max_len in ((2, 6), (3, 5), (4, 4)):
+        words = [w for k in range(max_len + 1) for w in itertools.product(range(1, n + 1), repeat=k)]
+        for gamma in range(1, n + 1):
+            for side in ("right", "left"):
+                images = transducer_images(lifted_multiplier(n, gamma, side), words)
+                for u in words:
+                    restricted = lifted_multiplier(n, gamma, side, set(column_runs(u)))
+                    assert transducer_outputs(restricted, u) == images[u], (n, gamma, side, u)
 
 
 def test_l_acceptor():
