@@ -13,6 +13,7 @@ import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterable
 
 from plactic import automata, multipliers, rewriting, verify
 from plactic.core import (
@@ -91,29 +92,31 @@ def _writing(path):
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, chunks: Iterable[str]) -> None:
+    """Write the chunks, in order, to the --out file or to stdout."""
     if args.out:
-        with _writing(args.out):
-            Path(args.out).write_text(text)
+        with _writing(args.out), open(args.out, "w") as f:
+            f.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def cmd_rules(args) -> int:
     rs = rewriting.generate_rules(args.rank)
     if args.format == "json":
-        _emit(args, json.dumps(rewriting.rules_json(rs), indent=2, sort_keys=True) + "\n")
+        _emit(args, (json.dumps(rewriting.rules_json(rs), indent=2, sort_keys=True) + "\n",))
     else:
         _emit(args, rewriting.rules_text(rs))
     return 0
 
 
 def cmd_gsb(args) -> int:
-    basis = rewriting.gsb_export(rewriting.generate_rules(args.rank))
+    rs = rewriting.generate_rules(args.rank)
     if args.format == "json":
-        _emit(args, json.dumps(rewriting.gsb_json(basis), indent=2, sort_keys=True) + "\n")
+        basis = rewriting.gsb_export(rs)
+        _emit(args, (json.dumps(rewriting.gsb_json(basis), indent=2, sort_keys=True) + "\n",))
     else:
-        _emit(args, rewriting.gsb_text(basis))
+        _emit(args, rewriting.gsb_text(rs))
     return 0
 
 
@@ -136,10 +139,16 @@ def cmd_machines(args) -> int:
                 (f"{name}.json", json.dumps(automata.transducer_to_json(machine), sort_keys=True, indent=2) + "\n")
             )
 
-    if gamma is not None:
-        render_t(f"right_multiplier_col_{gamma}", multipliers.right_multiplier(rank, gamma))
-        render_t(f"left_multiplier_col_{gamma}", multipliers.left_multiplier(rank, gamma))
-    lifted = {side: multipliers.lifted_multiplier(rank, gamma, side) for side in ("right", "left")}
+    if gamma is None:
+        lifted = {side: multipliers.lifted_multiplier(rank, None, side) for side in ("right", "left")}
+    else:
+        columns = {
+            "right": multipliers.right_multiplier(rank, gamma),
+            "left": multipliers.left_multiplier(rank, gamma),
+        }
+        for side, machine in columns.items():
+            render_t(f"{side}_multiplier_col_{gamma}", machine)
+        lifted = {side: multipliers.lift(machine, rank) for side, machine in columns.items()}
     for side, machine in lifted.items():
         render_t(f"{side}_multiplier_{gamma or 'eps'}", machine)
     machines = multipliers.multiplier_pair_automata(rank, gamma, lifted=lifted)

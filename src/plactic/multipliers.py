@@ -6,8 +6,8 @@ words, the column readings of tableaux.  Both multipliers by a letter are
 built from the rewriting rules: right multiplication is a single right-to-left
 pass carrying one pending column, and left multiplication a single
 left-to-right pass carrying one pending letter.
-Each is lifted to letters in one spelling pass, which reads a column letter
-by letter before firing the column multiplier's arc on it and writes the
+Each is lifted to letters in one spelling pass, `lift`, which reads a column
+letter by letter before firing the column multiplier's arc on it and writes the
 output columns letter by letter.  Within a column the lift keys a state by
 what it can still do, the arcs that can finish the column, so states that
 agree on that are one state.  Synchronizing both padded encodings of the
@@ -161,7 +161,7 @@ def build_l_acceptor(n: int) -> Nfa:
     return Nfa(range(1, n + 1), states, k.initial, k.accepting, transitions)
 
 
-def _spelled(t: Transducer, n: int) -> Transducer:
+def lift(t: Transducer, n: int) -> Transducer:
     """The relation of t over columns, read and written in letters: a letter
     word relates to the spelling of each t-output of each factorization of
     the word into columns.
@@ -222,8 +222,7 @@ def lifted_multiplier(
     if gamma is None:
         return identity_multiplier(n)
     build = right_multiplier if side == "right" else left_multiplier
-    base = build(n, gamma, columns)
-    return _spelled(base, n)
+    return lift(build(n, gamma, columns), n)
 
 
 def multiplier_pair_automata(

@@ -291,24 +291,34 @@ def rules_json(system: RewritingSystem) -> dict:
     }
 
 
-def rules_text(system: RewritingSystem) -> str:
+def rules_text(system: RewritingSystem) -> Iterator[str]:
+    """The rule table as text, one line at a time: the rank, then one
+    `lhs -> rhs` line per rule in rule order."""
     label = _labels(system.rank, "c[{}]")
-    lines = [f"rank: {system.rank}"]
-    for lhs, rhs in system.rules.items():
-        lines.append(f"{' '.join(label[c] for c in lhs)} -> {' '.join(label[c] for c in rhs)}")
-    return "\n".join(lines) + "\n"
+    name = label.__getitem__
+    yield f"rank: {system.rank}\n"
+    for (a, b), rhs in system.rules.items():
+        yield f"{label[a]} {label[b]} -> {' '.join(map(name, rhs))}\n"
 
 
-def gsb_text(basis: GsbBasis) -> str:
-    label = _labels(basis.rank, "c[{}]")
+def gsb_text(system: RewritingSystem) -> Iterator[str]:
+    """The binomial basis of the table as text, one line at a time: the
+    order, then one `lhs - rhs` binomial per rule in rule order (the empty
+    word is the monomial 1).
 
-    def monomial(word: CWord) -> str:
-        return "*".join(label[c] for c in word) if word else "1"
+    `check_termination` runs when this is called, so a table that fails it
+    raises ViolationFound before any line is written.
+    """
+    check_termination(system)
+    label = _labels(system.rank, "c[{}]")
+    name = label.__getitem__
 
-    lines = [basis.order]
-    for el in basis.elements:
-        lines.append(f"{monomial(el.leading)} - {monomial(el.trailing)}")
-    return "\n".join(lines) + "\n"
+    def lines() -> Iterator[str]:
+        yield ORDER_DESCRIPTION + "\n"
+        for (a, b), rhs in system.rules.items():
+            yield f"{label[a]}*{label[b]} - {'*'.join(map(name, rhs)) or '1'}\n"
+
+    return lines()
 
 
 def gsb_json(basis: GsbBasis) -> dict:

@@ -250,47 +250,46 @@ def _check_multipliers(rep: Report, rank: int, tabs: list, prefix: str) -> None:
     rs = rewriting.generate_rules(rank)
     kwords = [t.columns for t in tabs]
     lwords = [t.column_reading() for t in tabs]
-
-    bad = []
-    for gamma in range(1, rank + 1):
-        rm = multipliers.right_multiplier(rank, gamma)
-        if gamma == 1:
-            # kept for the domain check below
-            rm1 = rm
-        right = automata.transducer_images(rm, kwords)
-        left = automata.transducer_images(multipliers.left_multiplier(rank, gamma), kwords)
-        for u in kwords:
-            if right[u] != {rewriting.normalize(u + ((gamma,),), rs)}:
-                bad.append(("right", gamma, u))
-            if left[u] != {rewriting.normalize(((gamma,),) + u, rs)}:
-                bad.append(("left", gamma, u))
-    rep.check(f"{prefix}column multipliers match normalization", 2 * rank * len(kwords), bad)
-
     non_k = [
         w
         for w in itertools.product(list(iter_columns(rank)), repeat=2)
         if not column_ge(w[0], w[1])
     ]
-    images = automata.transducer_images(rm1, non_k)
-    bad = [u for u in non_k if images[u]]
-    rep.check(f"{prefix}multiplier domain excludes non-normal words", len(non_k), bad)
 
-    # the lifted multipliers and the pair automata of each generator are
-    # checked against the same product column readings, computed once
+    # one generator at a time: its column machines are checked and then
+    # lifted, so each is built once and only one generator's machines are
+    # held; the lifts and the pair automata are checked against the same
+    # product column readings, computed once
     index = {u: i for i, u in enumerate(lwords)}
-    lifted_bad, pair_bad = [], []
+    column_bad, domain_bad, lifted_bad, pair_bad = [], [], [], []
     lifted_count = pair_count = 0
     for gamma in [None] + list(range(1, rank + 1)):
+        if gamma is None:
+            lifted_by_side = {side: multipliers.lifted_multiplier(rank, None, side) for side in ("right", "left")}
+        else:
+            column = {
+                "right": multipliers.right_multiplier(rank, gamma),
+                "left": multipliers.left_multiplier(rank, gamma),
+            }
+            column_images = {side: automata.transducer_images(t, kwords) for side, t in column.items()}
+            for u in kwords:
+                if column_images["right"][u] != {rewriting.normalize(u + ((gamma,),), rs)}:
+                    column_bad.append(("right", gamma, u))
+                if column_images["left"][u] != {rewriting.normalize(((gamma,),) + u, rs)}:
+                    column_bad.append(("left", gamma, u))
+            if gamma == 1:
+                domain_images = automata.transducer_images(column["right"], non_k)
+                domain_bad = [u for u in non_k if domain_images[u]]
+            lifted_by_side = {side: multipliers.lift(t, rank) for side, t in column.items()}
+
         g = (gamma,) if gamma else ()
         right = {u: tableau_of_word(u + g).column_reading() for u in lwords}
         # without a generator both sides multiply by eps and share the products
         left = {u: tableau_of_word(g + u).column_reading() for u in lwords} if g else right
         products = {"right": right, "left": left}
-        lifted_by_side = {}
         for side in ("right", "left"):
-            lifted = lifted_by_side[side] = multipliers.lifted_multiplier(rank, gamma, side)
             lifted_count += len(lwords)
-            images = automata.transducer_images(lifted, lwords)
+            images = automata.transducer_images(lifted_by_side[side], lwords)
             for u in lwords:
                 if images[u] != {products[side][u]}:
                     lifted_bad.append((side, gamma, u))
@@ -306,6 +305,8 @@ def _check_multipliers(rep: Report, rank: int, tabs: list, prefix: str) -> None:
             wrong = pa.accepted_pairs(lwords) ^ graph
             for u, v in sorted(wrong, key=lambda pair: (index[pair[0]], index[pair[1]])):
                 pair_bad.append((side, direction, gamma, u, v))
+    rep.check(f"{prefix}column multipliers match normalization", 2 * rank * len(kwords), column_bad)
+    rep.check(f"{prefix}multiplier domain excludes non-normal words", len(non_k), domain_bad)
     rep.check(f"{prefix}lifted multipliers match tableau products", lifted_count, lifted_bad)
     rep.check(f"{prefix}pair automata agree with the product oracle", pair_count, pair_bad)
 

@@ -188,21 +188,26 @@ def test_verify_core_orders_the_columns_of_the_given_rank(capsys):
     assert f"ok   column order is a partial order: {63 ** 3} items" in out
 
 
-# sha256 of the stdout of each rule-table export
+# sha256 of each rule-table export, on stdout and in its --out file
 EXPORT_SHA256 = {
     ("gsb", "8", "text"): "828f5e14b2e04d0f25f09e4057d29f54c961704f6812189544cfb5436da12e59",
     ("gsb", "6", "text"): "151560d0e995b67f211bf45743094079ad68d6c9f0db2a245d3845f1a349332d",
     ("gsb", "6", "json"): "19dc6fdde3cf646620c67977bd3fc9fbee229fcd2448b78241f706ffe464fc9a",
+    ("rules", "8", "text"): "b23b0a3f877151f09d283a289c3b90544c91ae0daef8f23c76182d1ae5311939",
     ("rules", "6", "text"): "42e1e1ff93ebb32a91fc4d4ce00404a9e9752fe830e4839291fc0c1b585006ac",
     ("rules", "6", "json"): "dcfca19fb3e25d7a14ea3218bada0f2521c2e90e9997a076efe79da005e87b95",
 }
 
 
 @pytest.mark.parametrize("command, rank, fmt", sorted(EXPORT_SHA256))
-def test_rule_table_exports_are_pinned(capsys, command, rank, fmt):
+def test_rule_table_exports_are_pinned(tmp_path, capsys, command, rank, fmt):
     code, out, _ = run(capsys, command, "--rank", rank, "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == EXPORT_SHA256[command, rank, fmt]
+    path = tmp_path / "export"
+    code, out, _ = run(capsys, command, "--rank", rank, "--format", fmt, "--out", str(path))
+    assert (code, out) == (0, "")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPORT_SHA256[command, rank, fmt]
 
 
 def test_large_rank_comma_format(capsys):

@@ -20,11 +20,11 @@ from plactic.automata import (
 )
 from plactic.core import column_ge, column_runs, iter_columns, iter_tableaux, tableau_of_word
 from plactic.multipliers import (
-    _spelled,
     build_k_acceptor,
     build_l_acceptor,
     general_multiplier,
     left_multiplier,
+    lift,
     lifted_multiplier,
     multiplier_pair_automata,
     right_multiplier,
@@ -237,7 +237,7 @@ def test_spelled_matches_column_factorizations():
     words = [w for k in range(6) for w in itertools.product((1, 2, 3), repeat=k)]
     for gamma in (1, 2, 3):
         for t in (right_multiplier(3, gamma), left_multiplier(3, gamma)):
-            lifted = _spelled(t, 3)
+            lifted = lift(t, 3)
             for w in words:
                 expected = {
                     sum(v, ())
@@ -254,7 +254,7 @@ def test_column_multipliers_and_lifts_are_trim():
     for rank in (2, 3, 4, 5):
         for gamma in range(1, rank + 1):
             for t in (right_multiplier(rank, gamma), left_multiplier(rank, gamma)):
-                for machine in (t, _spelled(t, rank)):
+                for machine in (t, lift(t, rank)):
                     assert trim(machine).states == machine.states, (rank, gamma)
 
 
