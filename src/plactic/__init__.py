@@ -29,7 +29,6 @@ from plactic.errors import (
     ViolationFound,
 )
 from plactic.rewriting import (
-    GsbBasis,
     RewritingSystem,
     check_termination,
     critical_pairs,

@@ -113,8 +113,7 @@ def cmd_rules(args) -> int:
 def cmd_gsb(args) -> int:
     rs = rewriting.generate_rules(args.rank)
     if args.format == "json":
-        basis = rewriting.gsb_export(rs)
-        _emit(args, (json.dumps(rewriting.gsb_json(basis), indent=2, sort_keys=True) + "\n",))
+        _emit(args, (json.dumps(rewriting.gsb_export(rs), indent=2, sort_keys=True) + "\n",))
     else:
         _emit(args, rewriting.gsb_text(rs))
     return 0

@@ -2,7 +2,7 @@
 
 Generators are the nonempty columns over 1..rank; a word over them rewrites
 by replacing an adjacent incomparable pair with the one or two columns of
-the tableau of its concatenation.  The module also certifies termination,
+the tableau of its concatenation.  The module also checks termination,
 checks confluence constructively through overlaps, and exports the rule set
 as a binomial basis of the free algebra on the column generators.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple, Optional
+from typing import Iterator, Mapping, Optional
 
 from plactic.core import (
     Column,
@@ -70,7 +70,7 @@ class RewritingSystem:
     """A rule table: left side (a, b) to the one or two columns it rewrites to.
 
     The order of `rules` is the order of every listing made from it (the
-    termination certificate, the overlaps, the basis and the rule exports).
+    termination check, the overlaps, the basis and the rule exports).
     `generate_rules` builds it in generator order, by (column_key(a),
     column_key(b)); a hand-built table is listed as given.
     """
@@ -148,29 +148,14 @@ def is_normal_form(w: CWord, system: RewritingSystem) -> bool:
     return rewrite_step(w, system) is None
 
 
-@dataclass(frozen=True)
-class TerminationCertificate:
-    rank: int
-    comparisons: tuple[tuple[tuple[Column, Column], tuple[Column, ...], str], ...]
-
-    @property
-    def rule_count(self) -> int:
-        return len(self.comparisons)
-
-
-def check_termination(system: RewritingSystem) -> TerminationCertificate:
-    """Verify every rule strictly decreases under the word order.
-
-    Raises ViolationFound at the first offending rule; success returns a
-    certificate listing the per-rule comparison that applied.
-    """
-    comparisons = []
+def check_termination(system: RewritingSystem) -> int:
+    """Verify every rule strictly decreases under the word order, in rule
+    order; ViolationFound at the first offending rule, else the number of
+    rules checked."""
     for lhs, rhs in system.rules.items():
         if not word_less(rhs, lhs):
             raise ViolationFound((lhs, rhs))
-        reason = "shorter" if len(rhs) < len(lhs) else "first symbol drops"
-        comparisons.append((lhs, rhs, reason))
-    return TerminationCertificate(system.rank, tuple(comparisons))
+    return len(system.rules)
 
 
 @dataclass(frozen=True)
@@ -200,31 +185,6 @@ def critical_pairs(system: RewritingSystem) -> Iterator[Overlap]:
             left = normalize(rhs_ab + (c,), system)
             right = normalize((a,) + rhs_bc, system)
             yield Overlap((a, b, c), left, right)
-
-
-class Binomial(NamedTuple):
-    leading: CWord
-    trailing: CWord
-    leading_coeff: int = 1
-    trailing_coeff: int = -1
-
-
-@dataclass(frozen=True)
-class GsbBasis:
-    rank: int
-    generators: tuple[Column, ...]
-    order: str
-    elements: tuple[Binomial, ...]
-
-
-def gsb_export(system: RewritingSystem) -> GsbBasis:
-    """One binomial lhs - rhs per rule, in rule order; leading terms are the
-    rule left sides, and check_termination raises ViolationFound unless each
-    exceeds its trailing term under the declared order."""
-    check_termination(system)
-    elements = tuple(Binomial(leading=lhs, trailing=rhs) for lhs, rhs in system.rules.items())
-    generators = tuple(sorted(iter_columns(system.rank), key=column_key))
-    return GsbBasis(system.rank, generators, ORDER_DESCRIPTION, elements)
 
 
 def encode_word(w: Word) -> CWord:
@@ -301,6 +261,29 @@ def rules_text(system: RewritingSystem) -> Iterator[str]:
         yield f"{label[a]} {label[b]} -> {' '.join(map(name, rhs))}\n"
 
 
+def gsb_export(system: RewritingSystem) -> dict:
+    """The binomial basis of the table as a JSON document: the order, the
+    generators in generator order, and one binomial lhs - rhs per rule in
+    rule order.  `check_termination` raises ViolationFound first unless each
+    leading term exceeds its trailing term under the declared order."""
+    check_termination(system)
+    label = _labels(system.rank)
+    return {
+        "rank": system.rank,
+        "order": ORDER_DESCRIPTION,
+        "generators": [label[c] for c in sorted(label, key=column_key)],
+        "binomials": [
+            {
+                "leading": [label[c] for c in lhs],
+                "trailing": [label[c] for c in rhs],
+                "leading_coeff": 1,
+                "trailing_coeff": -1,
+            }
+            for lhs, rhs in system.rules.items()
+        ],
+    }
+
+
 def gsb_text(system: RewritingSystem) -> Iterator[str]:
     """The binomial basis of the table as text, one line at a time: the
     order, then one `lhs - rhs` binomial per rule in rule order (the empty
@@ -319,21 +302,3 @@ def gsb_text(system: RewritingSystem) -> Iterator[str]:
             yield f"{label[a]}*{label[b]} - {'*'.join(map(name, rhs)) or '1'}\n"
 
     return lines()
-
-
-def gsb_json(basis: GsbBasis) -> dict:
-    label = _labels(basis.rank)
-    return {
-        "rank": basis.rank,
-        "order": basis.order,
-        "generators": [label[c] for c in basis.generators],
-        "binomials": [
-            {
-                "leading": [label[c] for c in el.leading],
-                "trailing": [label[c] for c in el.trailing],
-                "leading_coeff": el.leading_coeff,
-                "trailing_coeff": el.trailing_coeff,
-            }
-            for el in basis.elements
-        ],
-    }

@@ -157,6 +157,15 @@ def test_verify_rank1(capsys):
     assert out.strip().endswith("PASS")
 
 
+def test_verify_all_default_report_is_pinned(capsys):
+    # the default sweep (rank 3, max-len 6): 1,728 bytes of report
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0bda4581a5350bcb8b05547e75c744ff709e48c1eb767869fe4148de96c7ea81"
+    )
+
+
 def test_verify_core_rank2(capsys):
     code, out, _ = run(capsys, "verify", "--rank", "2", "--max-len", "5", "core")
     assert code == 0
@@ -190,6 +199,7 @@ def test_verify_core_orders_the_columns_of_the_given_rank(capsys):
 
 # sha256 of each rule-table export, on stdout and in its --out file
 EXPORT_SHA256 = {
+    ("gsb", "1", "json"): "124fa25dc054837a7082ddf87abd6b482de2d9a080a4515f14ef14ded48e5688",
     ("gsb", "8", "text"): "828f5e14b2e04d0f25f09e4057d29f54c961704f6812189544cfb5436da12e59",
     ("gsb", "6", "text"): "151560d0e995b67f211bf45743094079ad68d6c9f0db2a245d3845f1a349332d",
     ("gsb", "6", "json"): "19dc6fdde3cf646620c67977bd3fc9fbee229fcd2448b78241f706ffe464fc9a",

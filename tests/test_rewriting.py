@@ -17,7 +17,6 @@ from plactic.rewriting import (
     format_cword,
     generate_rules,
     gsb_export,
-    gsb_json,
     gsb_text,
     is_normal_form,
     normalize,
@@ -146,13 +145,11 @@ def test_normal_form_iff_chained():
 
 def test_termination_certificate():
     for n in range(1, 6):
-        cert = check_termination(generate_rules(n))
-        assert cert.rule_count == RULE_COUNTS[n]
+        assert check_termination(generate_rules(n)) == RULE_COUNTS[n]
 
 
 def test_termination_rank6():
-    cert = check_termination(generate_rules(6))
-    assert cert.rule_count == (2**6 - 1) ** 2 - sum(
+    assert check_termination(generate_rules(6)) == (2**6 - 1) ** 2 - sum(
         1 for a in iter_columns(6) for b in iter_columns(6) if column_ge(a, b)
     )
 
@@ -180,10 +177,25 @@ def test_critical_pair_results_match_tableaux():
         assert decode_word(o.left_result) == tableau_of_word(word).column_reading()
 
 
+def basis_binomials(doc, rank):
+    """The binomials of a JSON basis document, their label lists parsed
+    back to column words."""
+    def cword(labels):
+        return parse_cword("c:" + ",".join(labels), rank)
+
+    return [
+        (cword(b["leading"]), cword(b["trailing"]), b["leading_coeff"], b["trailing_coeff"])
+        for b in doc["binomials"]
+    ]
+
+
 def test_gsb_export_rank2():
     rs = generate_rules(2)
-    basis = gsb_export(rs)
-    assert len(basis.elements) == 3
+    doc = gsb_export(rs)
+    assert doc["rank"] == 2
+    assert doc["order"] == "order: deglex; symbol order: |subscript| desc, then lex"
+    assert doc["generators"] == ["21", "1", "2"]
+    assert basis_binomials(doc, 2) == [(lhs, rhs, 1, -1) for lhs, rhs in rs.rules.items()]
     assert "".join(gsb_text(rs)) == (
         "order: deglex; symbol order: |subscript| desc, then lex\n"
         "c[1]*c[21] - c[21]*c[1]\n"
@@ -195,23 +207,24 @@ def test_gsb_export_rank2():
 def test_gsb_bijection_and_order():
     for n in (2, 3):
         rs = generate_rules(n)
-        basis = gsb_export(rs)
-        assert len(basis.elements) == len(rs.rules)
-        for el in basis.elements:
-            assert rs.rules[el.leading] == el.trailing
-            assert word_less(el.trailing, el.leading)
-            assert el.leading_coeff == 1 and el.trailing_coeff == -1
+        binomials = basis_binomials(gsb_export(rs), n)
+        assert len(binomials) == len(rs.rules)
+        for leading, trailing, leading_coeff, trailing_coeff in binomials:
+            assert rs.rules[leading] == trailing
+            assert word_less(trailing, leading)
+            assert leading_coeff == 1 and trailing_coeff == -1
+        assert [b[0] for b in binomials] == list(rs.rules)
 
 
 def test_gsb_empty_rank1():
     rs = generate_rules(1)
-    assert gsb_export(rs).elements == ()
+    assert gsb_export(rs)["binomials"] == []
     assert "".join(gsb_text(rs)) == "order: deglex; symbol order: |subscript| desc, then lex\n"
 
 
 def test_gsb_json_stable():
-    a = json.dumps(gsb_json(gsb_export(generate_rules(3))), sort_keys=True)
-    b = json.dumps(gsb_json(gsb_export(generate_rules(3))), sort_keys=True)
+    a = json.dumps(gsb_export(generate_rules(3)), sort_keys=True)
+    b = json.dumps(gsb_export(generate_rules(3)), sort_keys=True)
     assert a == b
 
 
