@@ -52,7 +52,9 @@ def word_less(u: CWord, v: CWord) -> bool:
 
 
 def product_columns(a: Column, b: Column) -> Optional[tuple[Column, ...]]:
-    """Columns of the tableau of ab for an incomparable pair, else None.
+    """Columns of the tableau of ab for an incomparable pair, else None:
+    Schensted's definition of `rule`, by insertion.  The column multipliers
+    call it, and the tests check `rule` against it.
 
     The result has one or two columns; in the two-column case the left one
     is strictly longer than a.
@@ -79,14 +81,16 @@ class RewritingSystem:
     rules: Mapping[tuple[Column, Column], tuple[Column, ...]]
 
 
-def _two_column_product(a: Column, b: Column) -> tuple[Column, ...]:
-    """The columns of the tableau of ab for an incomparable pair, without
-    insertion.
+def rule(a: Column, b: Column) -> Optional[tuple[Column, ...]]:
+    """The right side of the rule on ab: None when `column_ge(a, b)`, else
+    the one or two columns of the tableau of ab, without insertion.
 
     Each letter x of a, largest first, takes the smallest letter of b still
     free that is at least x.  The taken letters form the right column; the
     free ones join a in the left column, the only column if none is taken.
     """
+    if column_ge(a, b):
+        return None
     free = list(b[::-1])
     taken = []
     for x in a:
@@ -98,20 +102,15 @@ def _two_column_product(a: Column, b: Column) -> tuple[Column, ...]:
 
 
 def generate_rules(n: int) -> RewritingSystem:
-    """One rule per ordered incomparable pair of columns, in generator order;
-    each right side is the direct two-column product (`_two_column_product`),
-    equal to `product_columns` of the pair.  ResourceLimit when the table
-    would exceed PAIR_BUDGET entries."""
+    """One rule per ordered incomparable pair of columns, in generator order,
+    each right side from `rule`.  ResourceLimit when the table would exceed
+    PAIR_BUDGET entries."""
     check_rank(n)
     count = (2**n - 1) ** 2
     if count > PAIR_BUDGET:
         raise ResourceLimit(f"rank {n} needs {count} rule-table entries (budget {PAIR_BUDGET})")
     columns = sorted(iter_columns(n), key=column_key)
-    rules = {}
-    for a in columns:
-        for b in columns:
-            if not column_ge(a, b):
-                rules[(a, b)] = _two_column_product(a, b)
+    rules = {(a, b): rhs for a in columns for b in columns if (rhs := rule(a, b)) is not None}
     return RewritingSystem(n, rules)
 
 
@@ -126,15 +125,13 @@ def rewrite_step(w: CWord, system: RewritingSystem) -> Optional[CWord]:
 
 
 def normalize(w: CWord, system: Optional[RewritingSystem] = None) -> CWord:
-    """Leftmost rewriting to the normal form, by the table or, without one, by `product_columns`."""
-    rules = {} if system is None else system.rules
+    """Leftmost rewriting to the normal form, each rule read from the table
+    or, without one, from `rule`, so it runs at any rank."""
+    lookup = (lambda pair: rule(*pair)) if system is None else system.rules.get
     out = list(w)
     i = 0
     while i < len(out) - 1:
-        pair = (out[i], out[i + 1])
-        if system is None and pair not in rules:
-            rules[pair] = product_columns(*pair)
-        rhs = rules.get(pair)
+        rhs = lookup((out[i], out[i + 1]))
         if rhs is None:
             i += 1
         else:

@@ -458,6 +458,21 @@ def test_accepted_strings_are_valid_encodings():
         assert accepted == valid
 
 
+def test_pair_dfas_read_no_pad_after_letters():
+    # a^k -> a^k b and a^k b -> a^k: under L the right side pads for the
+    # first relation only, the left side for the second, and neither may
+    # read $ again after its letters.  That `phase` guard alone keeps
+    # strings like (($,a),(a,$),($,a),(a,$),($,b)) out of the L DFA
+    sigma = ("a", "b")
+    arcs = [(0, "a", ("a",), 0), (0, None, ("b",), 1), (0, "b", (), 1)]
+    t = Transducer(sigma, sigma, {0, 1}, {0}, {1}, arcs)
+    graph = [(u, v) for u in words_over(sigma, 5) for v in transducer_outputs(t, u)]
+    for direction, enc in (("R", delta_r), ("L", delta_l)):
+        encodings = {enc(u, v) for u, v in graph if max(len(u), len(v)) <= 5}
+        accepted = set(enumerate_accepted(synchronize(t, direction).nfa, 5))
+        assert accepted == encodings, direction
+
+
 def test_exports_are_deterministic():
     t = append_machine()
     assert transducer_to_json(t) == transducer_to_json(append_machine())

@@ -1,15 +1,18 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from plactic import multipliers
+from plactic import multipliers, rewriting
 from plactic.cli import main
 from plactic.core import iter_tableaux
+
+import oracles
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -220,6 +223,26 @@ def test_rule_table_exports_are_pinned(tmp_path, capsys, command, rank, fmt):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPORT_SHA256[command, rank, fmt]
 
 
+# sha256 of the stdout of `machines --rank 3` for each generator and format
+MACHINES_SHA256 = {
+    ("eps", "json"): "807eaefd88ae7d3a45a9550b536a0adbf77b5156d4c239aef33d1cfc87928af9",
+    ("1", "json"): "5fb59b2e7ecead36c73051c0903ecb03183aac81f8d3ca80fc80a1e4803bbdbb",
+    ("2", "json"): "39abee133a9d07170e5dde56a724bc044f7a413d623086fa15e603811fba91e5",
+    ("3", "json"): "2c10a5e693bffa5907405a40e7c5edc402a50355f945481f3fc7d5f239f2d4b8",
+    ("eps", "dot"): "65abb7dfbb056995d212d384a637587874f6f6f56dcd9dd200772ce5e6d770ec",
+    ("1", "dot"): "f59b829e4c4760f2b5ec29a510bafc556ecd237634a6f6cf57f8b3fff8ffffb6",
+    ("2", "dot"): "31572333cdab4b2f5fdef233e2c88c4523d2d0c36cf095477009e077e9f2bc27",
+    ("3", "dot"): "5c5ca9d9bb79b47be1b6aedc5c52836746a9b78ffdd521ee9f7c002dca44e0a3",
+}
+
+
+@pytest.mark.parametrize("gamma, fmt", sorted(MACHINES_SHA256))
+def test_machines_exports_are_pinned(capsys, gamma, fmt):
+    code, out, _ = run(capsys, "machines", "--rank", "3", "--gamma", gamma, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MACHINES_SHA256[gamma, fmt]
+
+
 def test_large_rank_comma_format(capsys):
     code, out, _ = run(capsys, "tableau", "--rank", "12", "10,2,1")
     assert code == 0
@@ -252,6 +275,26 @@ def test_normalize_at_a_rank_beyond_any_rule_table(capsys, rank, word, letters):
     assert code == 0 and err == ""
     _, reading, _ = run(capsys, "tableau", "--rank", str(rank), letters)
     assert out.splitlines()[-1] == reading.splitlines()[-1]
+
+
+def test_normalize_runs_no_insertion(capsys, monkeypatch):
+    # without a table every rule comes from the direct product `rule`, so
+    # normalize reaches the oracle's tableau with Schensted insertion gone
+    def refuse(*args):
+        raise AssertionError("normalize ran Schensted insertion")
+
+    monkeypatch.setattr(rewriting, "product_columns", refuse)
+    monkeypatch.setattr(rewriting, "tableau_of_word", refuse)
+    rng = random.Random(8)
+    for rank in range(2, 9):
+        for _ in range(20):
+            w = tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 30)))
+            nf = rewriting.normalize(rewriting.encode_word(w))
+            assert nf == tuple(oracles.tableau_columns(w))
+    code, out, err = run(capsys, "normalize", "--rank", "20", LETTERS_60)
+    assert code == 0 and err == ""
+    letters = tuple(int(x) for x in LETTERS_60.split(","))
+    assert out.splitlines()[-1] == ",".join(map(str, oracles.column_reading_of_word(letters)))
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from plactic.rewriting import (
     parse_cword,
     product_columns,
     rewrite_step,
+    rule,
     rules_json,
     rules_text,
     word_less,
@@ -67,15 +68,17 @@ def test_rule_counts_match_incomparable_pairs():
 
 def test_rules_are_built_in_generator_order():
     # every listing of a generated table follows this order without sorting;
-    # the table's direct product agrees with Schensted insertion
-    # (`product_columns`) on every pair, 16,129 of them at rank 7
+    # `rule`, the direct product the table is built from, agrees with
+    # Schensted insertion (`product_columns`) on every ordered pair, both
+    # giving None on a comparable one: 16,129 pairs at rank 7
     for n in range(1, 8):
         cols = sorted(iter_columns(n), key=column_key)
         rules = generate_rules(n).rules
         expected = [(a, b) for a in cols for b in cols if not column_ge(a, b)]
         assert list(rules) == expected
-        for (a, b), rhs in rules.items():
-            assert rhs == product_columns(a, b)
+        for a in cols:
+            for b in cols:
+                assert rule(a, b) == product_columns(a, b) == rules.get((a, b))
 
 
 def test_rule_shape_invariants():
@@ -123,16 +126,16 @@ def test_normalize_agrees_with_tableaux():
             assert sorted(decode_word(nf)) == sorted(w)
 
 
-def test_normalize_without_a_table_matches_the_table():
-    # the rules computed on first use are the table's rules, so both paths
-    # reach the same normal form on every letter word and column word below
+def test_normalize_without_a_table_matches_the_oracle():
+    # each rule read from `rule` leads to the columns of the tableau, as the
+    # oracle's own row insertion computes them, on every letter word and
+    # column word below
     for n, letters, columns in ((1, 6, 3), (2, 6, 3), (3, 6, 3), (4, 5, 3), (5, 4, 2)):
-        rs = generate_rules(n)
         cols = list(iter_columns(n))
         words = [encode_word(w) for w in oracles.all_words(n, letters)]
         words += [w for k in range(columns + 1) for w in itertools.product(cols, repeat=k)]
         for w in words:
-            assert normalize(w) == normalize(w, rs)
+            assert normalize(w) == tuple(oracles.tableau_columns(decode_word(w)))
 
 
 def test_normal_form_iff_chained():
