@@ -6,10 +6,10 @@ pure.  Every search over states is `core._sweep`, which keeps the order it
 meets them in (`_explore` also collects the transitions it follows).  Only
 the walks over words keep loops of their own, `enumerate_accepted` and the
 trie walks of `transducer_images` and `PairAutomaton.accepted_pairs`.
-`_minimal_dfa` minimizes by double reversal: one subset construction, an
-`_explore` walk, run twice.  The verification sweeps decide a word set
-with `transducer_images`; `transducer_outputs` is the per-word search, for
-`multiply` and as the tests' reference.
+`_minimal_dfa` minimizes by double reversal: one subset construction, the
+`_explore` walk of `Nfa.determinized`, run twice.  The verification sweeps
+decide a word set with `transducer_images`; `transducer_outputs` is the
+per-word search, for `multiply` and as the tests' reference.
 `synchronize` turns a rational relation of bounded lag, one whose
 transducer emits as many letters as it reads on every cycle, into the
 minimal deterministic automaton over padded letter pairs.  It trims the
@@ -40,7 +40,11 @@ State = Hashable
 
 
 class Nfa:
-    """Nondeterministic finite automaton with epsilon moves (symbol None)."""
+    """Nondeterministic finite automaton with epsilon moves (symbol None).
+
+    Epsilon closures and successor maps are memoized per frontier set, so
+    `accepts`, `enumerate_accepted` and `determinized` share one cache.
+    """
 
     def __init__(self, alphabet, states, initial, accepting, transitions):
         self.alphabet = frozenset(alphabet)
@@ -52,7 +56,7 @@ class Nfa:
         if not self.initial <= self.states or not self.accepting <= self.states:
             raise ValueError("initial/accepting states must be declared states")
         self._eps: dict[State, list[State]] = {}
-        self._step: dict[tuple[State, Symbol], list[State]] = {}
+        self._step: dict[State, dict[Symbol, list[State]]] = {}
         for src, sym, dst in self.transitions:
             if src not in self.states or dst not in self.states:
                 raise ValueError(f"undeclared state in transition {(src, sym, dst)!r}")
@@ -61,9 +65,9 @@ class Nfa:
             else:
                 if sym not in self.alphabet:
                     raise ValueError(f"undeclared symbol {sym!r}")
-                self._step.setdefault((src, sym), []).append(dst)
+                self._step.setdefault(src, {}).setdefault(sym, []).append(dst)
         self._closure_cache: dict[frozenset, frozenset] = {}
-        self._move_cache: dict[tuple[frozenset, Symbol], frozenset] = {}
+        self._moves_cache: dict[frozenset, dict[Symbol, frozenset]] = {}
 
     def closure(self, states: frozenset) -> frozenset:
         cached = self._closure_cache.get(states)
@@ -76,26 +80,47 @@ class Nfa:
     def start_set(self) -> frozenset:
         return self.closure(self.initial)
 
-    def move(self, frontier: frozenset, sym: Symbol) -> frozenset:
-        """One consumed symbol, with closure; memoized per frontier set."""
-        key = (frontier, sym)
-        cached = self._move_cache.get(key)
-        if cached is not None:
-            return cached
-        nxt: set[State] = set()
-        for q in frontier:
-            nxt.update(self._step.get((q, sym), ()))
-        result = self.closure(frozenset(nxt)) if nxt else frozenset()
-        self._move_cache[key] = result
-        return result
+    def moves(self, frontier: frozenset) -> dict[Symbol, frozenset]:
+        """The closed successor set of frontier on each letter that leads
+        somewhere; memoized per frontier set."""
+        if frontier not in self._moves_cache:
+            nxt: dict[Symbol, set[State]] = {}
+            for q in frontier:
+                for sym, dsts in self._step.get(q, {}).items():
+                    nxt.setdefault(sym, set()).update(dsts)
+            self._moves_cache[frontier] = {sym: self.closure(frozenset(d)) for sym, d in nxt.items()}
+        return self._moves_cache[frontier]
 
     def accepts(self, word: Sequence[Symbol]) -> bool:
         cur = self.start_set()
         for sym in word:
-            cur = self.move(cur, sym)
-            if not cur:
+            cur = self.moves(cur).get(sym)
+            if cur is None:
                 return False
         return bool(cur & self.accepting)
+
+    def reversed(self) -> Nfa:
+        """The reversal: every arc flipped, initial and accepting swapped."""
+        return Nfa(self.alphabet, self.states, self.accepting, self.initial,
+                   [(dst, sym, src) for src, sym, dst in self.transitions])
+
+    def determinized(self) -> Nfa:
+        """The accessible subset construction from `start_set()`: one
+        `_explore` walk over the repr-sorted letters, its subsets numbered
+        0..n-1 in the order found, so breadth-first from the initial state 0.
+        A letter that leads nowhere gets no arc, so no arc leads to the empty
+        subset; a subset accepts when it holds an accepting state."""
+        letters = sorted(self.alphabet, key=repr)
+
+        def arcs(subset):
+            out = self.moves(subset)
+            return [(subset, sym, out[sym]) for sym in letters if sym in out]
+
+        subsets, found = _explore([self.start_set()], arcs)
+        index = {subset: i for i, subset in enumerate(subsets)}
+        accepting = {i for subset, i in index.items() if not subset.isdisjoint(self.accepting)}
+        return Nfa(self.alphabet, index.values(), {0}, accepting,
+                   [(index[src], sym, index[dst]) for src, sym, dst in found])
 
 
 def enumerate_accepted(a: Nfa, max_len: int) -> Iterator[tuple]:
@@ -108,10 +133,10 @@ def enumerate_accepted(a: Nfa, max_len: int) -> Iterator[tuple]:
             yield prefix
         if len(prefix) == max_len:
             return
+        moves = a.moves(frontier)
         for sym in symbols:
-            nxt = a.move(frontier, sym)
-            if nxt:
-                yield from walk(nxt, prefix + (sym,))
+            if sym in moves:
+                yield from walk(moves[sym], prefix + (sym,))
 
     yield from walk(a.start_set(), ())
 
@@ -576,40 +601,10 @@ def _settling_lags(p: _Prepared, right: bool) -> dict[tuple, set[int]]:
     return out
 
 
-def _reversed_subsets(start, arcs, order: dict) -> tuple[list[frozenset], list[tuple]]:
-    """The subset construction of the reversal of the arcs (src, sym, dst),
-    sym None for epsilon, from the epsilon closure of the states `start`:
-    the subsets in the order found and the arcs (i, sym, j) between their
-    indices.  Breadth-first over the letters in their `order`; a letter that
-    leads nowhere gets no arc, so no arc leads to the empty subset."""
-    step: dict[State, dict[Symbol, list[State]]] = {}
-    eps: dict[State, list[State]] = {}
-    for dst, sym, src in arcs:
-        if sym is None:
-            eps.setdefault(src, []).append(dst)
-        else:
-            step.setdefault(src, {}).setdefault(sym, []).append(dst)
-
-    def close(states) -> frozenset:
-        return frozenset(_sweep(states, lambda q: eps.get(q, ())))
-
-    def moves(frontier):
-        out: dict[Symbol, set[State]] = {}
-        for q in frontier:
-            for sym, dsts in step.get(q, {}).items():
-                out.setdefault(sym, set()).update(dsts)
-        return [(frontier, sym, close(out[sym])) for sym in sorted(out, key=order.__getitem__)]
-
-    subsets, found = _explore([close(start)], moves)
-    index = {subset: i for i, subset in enumerate(subsets)}
-    return list(subsets), [(index[src], sym, index[dst]) for src, sym, dst in found]
-
-
 def _minimal_dfa(a: Nfa) -> Nfa:
     """The trim minimal DFA of a's language, as an Nfa with states 0..n-1, by
-    double reversal (Brzozowski 1962): determinize the reversal of a from its
-    accepting states, then the reversal of that DFA from the subsets that
-    hold an initial state of a.
+    double reversal (Brzozowski 1962): `Nfa.determinized` of `Nfa.reversed`,
+    twice.
 
     - A subset construction from one start set gives an accessible DFA, so
       the first pass gives an accessible DFA for the reversed language.
@@ -624,11 +619,7 @@ def _minimal_dfa(a: Nfa) -> Nfa:
     numbered breadth-first from the initial state 0 over the sorted letters,
     and equal languages give equal machines.
     """
-    order = {sym: i for i, sym in enumerate(sorted(a.alphabet, key=repr))}
-    back, back_arcs = _reversed_subsets(a.accepting, a.transitions, order)
-    start = [i for i, subset in enumerate(back) if not subset.isdisjoint(a.initial)]
-    subsets, arcs = _reversed_subsets(start, back_arcs, order)
-    return Nfa(a.alphabet, range(len(subsets)), {0}, {i for i, s in enumerate(subsets) if 0 in s}, arcs)
+    return a.reversed().determinized().reversed().determinized()
 
 
 def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> PairAutomaton:

@@ -7,6 +7,7 @@ reports counts; any witness of failure is named in the report.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 from plactic import automata, multipliers, rewriting
@@ -87,17 +88,22 @@ def verify_core(cfg: Config) -> Report:
     ]
     rep.check("readings stay in the congruence class", len(short), bad)
 
-    bad = []
-    pairs = 0
-    by_len: dict[int, list] = {}
+    # over every pair u < v of equal length, in word order: the v that break
+    # the check for u are the later words of the symmetric difference of
+    # u's class and u's tableau group (both hold only words of u's length),
+    # and every other pair agrees
+    index = {w: i for i, w in enumerate(short)}
+    same_tableau: dict[Tableau, set] = {}
     for w in short:
-        by_len.setdefault(len(w), []).append(w)
-    for group in by_len.values():
-        for u, v in itertools.combinations(group, 2):
-            pairs += 1
-            if (v in classes[u]) != (tab[u] == tab[v]):
-                bad.append((u, v))
-    rep.check("equivalence iff equal tableaux", pairs, bad)
+        same_tableau.setdefault(tab[w], set()).add(w)
+    bad = [
+        (u, v)
+        for u in short
+        for v in sorted(classes[u] ^ same_tableau[tab[u]], key=index.__getitem__)
+        if index[v] > index[u]
+    ]
+    lengths = Counter(map(len, short)).values()
+    rep.check("equivalence iff equal tableaux", sum(k * (k - 1) // 2 for k in lengths), bad)
 
     # every triple (a, b, c) is decided by one set difference per comparable
     # pair: it breaks transitivity when c is below b but not below a

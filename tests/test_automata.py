@@ -285,10 +285,19 @@ MINIMIZE_CASES = {
 @pytest.mark.parametrize("name", MINIMIZE_CASES)
 def test_minimal_dfa_of_hand_built_nfas(name):
     a = MINIMIZE_CASES[name]
+    words = set(enumerate_accepted(a, 6))
+    # the two steps of double reversal, each on its own
+    assert set(enumerate_accepted(a.reversed(), 6)) == {w[::-1] for w in words}
+    det = a.determinized()
+    assert set(enumerate_accepted(det, 6)) == words
+    assert (det.initial, det.states) == ({0}, set(range(len(det.states))))
+    arcs = [(src, sym) for src, sym, _ in det.transitions]
+    assert all(sym is not None for _, sym in arcs) and len(set(arcs)) == len(arcs)
+    assert oracles.breadth_first_numbering(det) == {q: q for q in det.states}
     dfa = _minimal_dfa(a)
-    assert set(enumerate_accepted(dfa, 6)) == set(enumerate_accepted(a, 6))
+    assert set(enumerate_accepted(dfa, 6)) == words
     assert oracles.breadth_first_numbering(dfa) == {q: q for q in dfa.states}
-    if set(enumerate_accepted(a, 6)):
+    if words:
         assert oracles.dfa_contract_violations(dfa) == []
     else:
         # the empty language keeps one rejecting state, which the oracle

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -8,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from plactic import multipliers, rewriting
+from plactic import multipliers, rewriting, verify
 from plactic.cli import main
-from plactic.core import iter_tableaux
+from plactic.core import iter_tableaux, knuth_class
 
 import oracles
 
@@ -167,6 +168,39 @@ def test_verify_all_default_report_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "0bda4581a5350bcb8b05547e75c744ff709e48c1eb767869fe4148de96c7ea81"
     )
+
+
+def test_verify_core_rank4_report_is_pinned(capsys):
+    # 558,558 pairs of equal-length words in the equivalence check
+    code, out, _ = run(capsys, "verify", "--rank", "4", "core")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b8f9c2c21b23efe0116eec9c4cedd26e6672ba51f344d949f8597d27fda2f867"
+    )
+
+
+@pytest.mark.parametrize("wrong", [
+    {(2, 3): (3, 2)},
+    # 111 now shares its tableau with 213 and 231, two later words outside its class
+    {(1, 1, 1): (2, 1, 3), (3, 1, 2, 2): (1, 2, 2, 3), (2, 2, 1): (1, 2, 1)},
+])
+def test_equivalence_check_reports_what_every_pair_reports(monkeypatch, wrong):
+    # a few words get the tableau of another word; the check must report
+    # the count and first witness of its definition over all pairs u < v
+    # of equal length, in word order
+    real = verify.tableau_of_word
+    monkeypatch.setattr(verify, "tableau_of_word", lambda w: real(wrong.get(tuple(w), w)))
+    rep = verify.verify_core(verify.Config(rank=3, max_len=5))
+    words = verify._words(3, 5)
+    tab = {w: real(wrong.get(w, w)) for w in words}
+    classes = {w: knuth_class(w) for w in words}
+    pairs = [(u, v) for u, v in itertools.combinations(words, 2) if len(u) == len(v)]
+    bad = [(u, v) for u, v in pairs if (v in classes[u]) != (tab[u] == tab[v])]
+    label = "equivalence iff equal tableaux"
+    assert f"FAIL {label}: {len(bad)}/{len(pairs)} items failed" in rep.lines
+    assert f"{label}: {len(bad)} failures, first: {bad[0]!r}" in rep.failures
+    if len(wrong) == 1:
+        assert (len(bad), len(pairs), bad[0]) == (1, 33033, ((2, 3), (3, 2)))
 
 
 def test_verify_core_rank2(capsys):
