@@ -6,10 +6,10 @@ pure.  Every search over states is `core._sweep`, which keeps the order it
 meets them in (`_explore` also collects the transitions it follows).  Only
 the walks over words keep loops of their own, `enumerate_accepted` and the
 trie walks of `transducer_images` and `PairAutomaton.accepted_pairs`.
-`_minimal_dfa` minimizes by double reversal: one subset construction, the
-`_explore` walk of `Nfa.determinized`, run twice.  The verification sweeps
-decide a word set with `transducer_images`; `transducer_outputs` is the
-per-word search, for `multiply` and as the tests' reference.
+`_minimal_dfa_of_reversal` minimizes by double reversal: one subset
+construction, the `_explore` walk of `Nfa.determinized`, run twice.  The
+verification sweeps decide a word set with `transducer_images`;
+`transducer_outputs` is the per-word search, for `multiply` and the tests.
 `synchronize` turns a rational relation of bounded lag, one whose
 transducer emits as many letters as it reads on every cycle, into the
 minimal deterministic automaton over padded letter pairs.  It trims the
@@ -31,7 +31,7 @@ from functools import cached_property
 from itertools import zip_longest
 from typing import Hashable, Iterator, Sequence
 
-from plactic.core import _sweep
+from plactic.core import SEARCH_LIMIT, _sweep
 
 PAD = "$"
 
@@ -179,11 +179,11 @@ class Transducer:
         return _prepare(self)
 
 
-def transducer_outputs(t: Transducer, u: Sequence[Symbol], bound: int = 10**6) -> set[tuple]:
+def transducer_outputs(t: Transducer, u: Sequence[Symbol]) -> set[tuple]:
     """All outputs paired with input u, by bounded configuration search.
 
-    Raises ResourceLimit when more than `bound` configurations get explored,
-    which signals an output-unbounded machine or too small a bound.
+    Raises ResourceLimit when more than `SEARCH_LIMIT` configurations get
+    explored, which signals an output-unbounded machine.
     """
     # kept beside `transducer_images`: it is the tests' reference for that
     # walk, and it serves the one word of `multiply`, where the walk's
@@ -202,11 +202,11 @@ def transducer_outputs(t: Transducer, u: Sequence[Symbol], bound: int = 10**6) -
             elif i < len(u) and u[i] == sym:
                 yield dst, i + 1, out + emitted
 
-    configs = _sweep([(q, 0, ()) for q in t.initial], successors, bound, "transducer exploration")
+    configs = _sweep([(q, 0, ()) for q in t.initial], successors, SEARCH_LIMIT, "transducer exploration")
     return {out for q, i, out in configs if i == len(u) and q in t.accepting}
 
 
-def transducer_images(t: Transducer, words, bound: int = 10**6) -> dict[tuple, set[tuple]]:
+def transducer_images(t: Transducer, words) -> dict[tuple, set[tuple]]:
     """transducer_outputs(t, u) for every word u of words, by one
     depth-first walk over the trie of the words.
 
@@ -215,7 +215,7 @@ def transducer_images(t: Transducer, words, bound: int = 10**6) -> dict[tuple, s
     and an index of the arcs by letter and state with the closure of their
     targets folded in, are built once per call, so one letter is one set
     comprehension.  Raises ResourceLimit when an epsilon closure exceeds
-    `bound` configurations, which signals an output-unbounded machine.
+    `SEARCH_LIMIT` configurations, which signals an output-unbounded machine.
     """
     # states are numbered, so a configuration hashes an output and an int
     number = {q: i for i, q in enumerate(t.states)}
@@ -230,7 +230,7 @@ def transducer_images(t: Transducer, words, bound: int = 10**6) -> dict[tuple, s
             closures[q] = _sweep(
                 {((), q)},
                 lambda cfg: [(cfg[0] + out, dst) for out, dst in silent.get(cfg[1], ())],
-                bound,
+                SEARCH_LIMIT,
                 "transducer exploration",
             )
         return closures[q]
@@ -601,13 +601,13 @@ def _settling_lags(p: _Prepared, right: bool) -> dict[tuple, set[int]]:
     return out
 
 
-def _minimal_dfa(a: Nfa) -> Nfa:
-    """The trim minimal DFA of a's language, as an Nfa with states 0..n-1, by
-    double reversal (Brzozowski 1962): `Nfa.determinized` of `Nfa.reversed`,
-    twice.
+def _minimal_dfa_of_reversal(r: Nfa) -> Nfa:
+    """The trim minimal DFA of L, as an Nfa with states 0..n-1, started from
+    r, the reversed machine, one for rev(L), by double reversal (Brzozowski
+    1962): `Nfa.determinized`, `Nfa.reversed`, `Nfa.determinized`.
 
     - A subset construction from one start set gives an accessible DFA, so
-      the first pass gives an accessible DFA for the reversed language.
+      the first pass gives an accessible DFA for rev(L).
     - Determinizing the reversal of an accessible DFA for rev(L) gives the
       minimal DFA of L: the second pass's subsets are its states.
     - No arc leads to the empty subset, so the result is trim: every
@@ -619,10 +619,12 @@ def _minimal_dfa(a: Nfa) -> Nfa:
     numbered breadth-first from the initial state 0 over the sorted letters,
     and equal languages give equal machines.
     """
-    return a.reversed().determinized().reversed().determinized()
+    dfa = r.determinized()
+    del r  # a temporary argument's last reference (CPython 3.11+): frees the first pass's memo
+    return dfa.reversed().determinized()
 
 
-def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> PairAutomaton:
+def synchronize(t: Transducer, direction: str) -> PairAutomaton:
     """Minimal DFA accepting the padded encodings of t's relation.
 
     The steps: trim t and number its states; sweep its lags (`_lags`) for
@@ -645,7 +647,7 @@ def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> Pair
     prefix of any output its t-state can still emit can never be emptied;
     a right letter that makes the queue such a word is not tried at all,
     since whatever t emits next must begin with it.  Construction aborts
-    with ResourceLimit past `state_limit` configurations.
+    with ResourceLimit past `SEARCH_LIMIT` configurations.
 
     Each side of the pair string has two phases.  A side enters its second
     phase at its first $ under R, or at its first letter under L, and after
@@ -655,10 +657,9 @@ def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> Pair
     on the left $ (t stays put) or the input letter of an arc of t; on the
     right $, the head of the emitted symbols, or any letter when none wait.
 
-    The configuration graph is then minimized by double reversal
-    (`_minimal_dfa`), so the result has one initial state, no epsilon arcs,
-    at most one arc per (state, letter), only useful states, and a
-    canonical numbering.
+    The graph, built reversed, is minimized (`_minimal_dfa_of_reversal`): the
+    result has one initial state, no epsilon arcs, at most one arc per
+    (state, letter), only useful states, and a canonical numbering.
     """
     if direction not in ("R", "L"):
         raise ValueError(f"direction must be 'R' or 'L', got {direction!r}")
@@ -666,7 +667,7 @@ def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> Pair
     prep = t._prepared
     t, bound = prep.t, prep.bound
     settles = _settling_lags(prep, right)
-    # no sorting: _minimal_dfa numbers the result the same for any order
+    # no sorting: minimization numbers the result the same for any order
     base = list(t.in_alphabet | t.out_alphabet)
     letters = [(x, y) for x in base + [PAD] for y in base + [PAD] if (x, y) != (PAD, PAD)]
 
@@ -738,9 +739,10 @@ def synchronize(t: Transducer, direction: str, state_limit: int = 10**6) -> Pair
                     store((x, y), out, dst, prod2, owed2, nfl, nfr)
         return found
 
-    configs, transitions = _explore(init, arcs, state_limit, "synchronize")
+    configs, transitions = _explore(init, arcs, SEARCH_LIMIT, "synchronize")
     accepting = {cfg for cfg in configs if cfg[0] in t.accepting and not cfg[1] and not cfg[2]}
-    return PairAutomaton(_minimal_dfa(Nfa(letters, configs, init, accepting, transitions)), direction)
+    return PairAutomaton(_minimal_dfa_of_reversal(
+        Nfa(letters, configs, accepting, init, [(dst, sym, src) for src, sym, dst in transitions])), direction)
 
 
 # -- export --------------------------------------------------------------

@@ -17,7 +17,7 @@ from plactic.errors import ParseError, RankError, ResourceLimit
 Word = tuple[int, ...]
 Column = tuple[int, ...]
 
-DEFAULT_CLASS_BOUND = 10**6
+SEARCH_LIMIT = 10**6
 
 
 def _sweep(seeds, successors, limit=None, what="search") -> dict:
@@ -276,10 +276,10 @@ def _relation_map(n: int) -> dict[Word, tuple[Word, ...]]:
     return {k: tuple(v) for k, v in moves.items()}
 
 
-def knuth_class(w: Sequence[int], max_class_size: int = DEFAULT_CLASS_BOUND) -> frozenset[Word]:
+def knuth_class(w: Sequence[int]) -> frozenset[Word]:
     """The full equivalence class of w, by breadth-first search.
 
-    Raises ResourceLimit if the class exceeds `max_class_size`; the defining
+    Raises ResourceLimit if the class exceeds `SEARCH_LIMIT`; the defining
     relations preserve length so the search space is finite.
     """
     start = tuple(w)
@@ -290,17 +290,15 @@ def knuth_class(w: Sequence[int], max_class_size: int = DEFAULT_CLASS_BOUND) -> 
             for rep in moves.get(cur[i : i + 3], ()):
                 yield cur[:i] + rep + cur[i + 3 :]
 
-    return frozenset(_sweep([start], successors, max_class_size, f"equivalence class of {start!r}"))
+    return frozenset(_sweep([start], successors, SEARCH_LIMIT, f"equivalence class of {start!r}"))
 
 
-def knuth_equivalent(
-    u: Sequence[int], v: Sequence[int], max_class_size: int = DEFAULT_CLASS_BOUND
-) -> bool:
+def knuth_equivalent(u: Sequence[int], v: Sequence[int]) -> bool:
     """Brute-force congruence test: v reachable from u by relation moves."""
     u, v = tuple(u), tuple(v)
     if len(u) != len(v):
         return False
-    return v in knuth_class(u, max_class_size)
+    return v in knuth_class(u)
 
 
 def iter_columns(rank: int) -> Iterator[Column]:

@@ -1,16 +1,19 @@
 import itertools
+import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plactic import automata
 from plactic.automata import (
     PAD,
     Nfa,
     PairAutomaton,
     Transducer,
     _can_emit,
-    _minimal_dfa,
+    _minimal_dfa_of_reversal,
     compose_relations,
     delta_l,
     delta_r,
@@ -107,6 +110,15 @@ def test_nfa_validation():
         Nfa({"a"}, {0}, {0}, {0}, [(0, "a", 1)])
     with pytest.raises(ValueError):
         Nfa({"a"}, {0}, {1}, {0}, [])
+    with pytest.raises(ValueError, match="undeclared symbol 'b'"):
+        Nfa({"a"}, {0}, {0}, {0}, [(0, "b", 0)])
+    # a transducer checks its states and both alphabets the same way
+    with pytest.raises(ValueError, match="undeclared state in transducer transition"):
+        Transducer(ABC, ABC, {0}, {0}, {0}, [(0, "a", ("a",), 1)])
+    with pytest.raises(ValueError, match="undeclared input symbol 'z'"):
+        Transducer(ABC, ABC, {0}, {0}, {0}, [(0, "z", ("a",), 0)])
+    with pytest.raises(ValueError, match="undeclared output symbol 'z'"):
+        Transducer(ABC, ABC, {0}, {0}, {0}, [(0, "a", ("a", "z"), 0)])
 
 
 def test_transducer_outputs():
@@ -117,10 +129,11 @@ def test_transducer_outputs():
     assert transducer_outputs(empty, ("a",)) == set()
 
 
-def test_transducer_outputs_bound():
+def test_transducer_outputs_bound(monkeypatch):
+    monkeypatch.setattr(automata, "SEARCH_LIMIT", 50)
     pump = Transducer(ABC, ABC, {0}, {0}, {0}, [(0, None, ("a",), 0)])
-    with pytest.raises(ResourceLimit):
-        transducer_outputs(pump, (), bound=50)
+    with pytest.raises(ResourceLimit, match="^transducer exploration exceeded 50 configurations$"):
+        transducer_outputs(pump, ())
 
 
 def test_transducer_images_match_transducer_outputs():
@@ -137,10 +150,11 @@ def test_transducer_images_match_transducer_outputs():
     assert transducer_images(copy_machine(("a", "b")), [long]) == {long: {long}}
 
 
-def test_transducer_images_bound():
+def test_transducer_images_bound(monkeypatch):
+    monkeypatch.setattr(automata, "SEARCH_LIMIT", 50)
     pump = Transducer(ABC, ABC, {0}, {0}, {0}, [(0, None, ("a",), 0)])
-    with pytest.raises(ResourceLimit):
-        transducer_images(pump, [(), ("a",)], bound=50)
+    with pytest.raises(ResourceLimit, match="^transducer exploration exceeded 50 configurations$"):
+        transducer_images(pump, [(), ("a",)])
 
 
 def test_reverse_relation():
@@ -250,6 +264,21 @@ def test_synchronize_returns_trim_minimal_dfa():
             assert oracles.dfa_contract_violations(synchronize(t, direction).nfa) == []
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="the caller's stack keeps arguments alive before 3.11")
+def test_synchronize_frees_the_reversed_graph_after_one_pass(monkeypatch):
+    # the reversed configuration graph, with its memo of every first-pass
+    # subset, is gone before the second subset construction starts
+    passes, determinized = [], Nfa.determinized
+
+    def record(a):
+        passes.append((weakref.ref(a), [p() is None for p, _ in passes]))
+        return determinized(a)
+
+    monkeypatch.setattr(Nfa, "determinized", record)
+    synchronize(append_machine(), "R")
+    assert [freed for _, freed in passes] == [[], [True]]
+
+
 def test_dfa_contract_oracle_flags_defects():
     # the checker itself must see each defect it is meant to catch
     two_starts = Nfa({"a"}, {0, 1}, {0, 1}, {1}, [(0, "a", 1)])
@@ -262,7 +291,7 @@ def test_dfa_contract_oracle_flags_defects():
     assert "2 states but 1 Moore classes" in oracles.dfa_contract_violations(redundant)
 
 
-# hand-built inputs for `_minimal_dfa`, over the letters a and b
+# hand-built inputs for `_minimal_dfa_of_reversal`, over the letters a and b
 MINIMIZE_CASES = {
     # an epsilon cycle between 1 and the accepting state 2
     "epsilon cycle": Nfa("ab", {0, 1, 2}, {0}, {2},
@@ -294,7 +323,7 @@ def test_minimal_dfa_of_hand_built_nfas(name):
     arcs = [(src, sym) for src, sym, _ in det.transitions]
     assert all(sym is not None for _, sym in arcs) and len(set(arcs)) == len(arcs)
     assert oracles.breadth_first_numbering(det) == {q: q for q in det.states}
-    dfa = _minimal_dfa(a)
+    dfa = _minimal_dfa_of_reversal(a.reversed())
     assert set(enumerate_accepted(dfa, 6)) == words
     assert oracles.breadth_first_numbering(dfa) == {q: q for q in dfa.states}
     if words:
@@ -325,6 +354,8 @@ def test_pair_automaton_guard():
             PairAutomaton(nfa, "R")
     with pytest.raises(ValueError, match="direction"):
         PairAutomaton(dfa, "X")
+    with pytest.raises(ValueError, match="direction must be 'R' or 'L', got 'X'"):
+        synchronize(copy_machine(), "X")
 
 
 def test_accepts_pair_matches_general_nfa_path():
@@ -361,9 +392,10 @@ def append_two_machine():
     )
 
 
-def test_synchronize_state_limit():
+def test_synchronize_state_limit(monkeypatch):
+    monkeypatch.setattr(automata, "SEARCH_LIMIT", 2)
     with pytest.raises(ResourceLimit, match="synchronize exceeded 2 configurations"):
-        synchronize(append_machine(), "R", state_limit=2)
+        synchronize(append_machine(), "R")
 
 
 def test_synchronize_derives_its_buffer_bound():

@@ -40,6 +40,10 @@ def test_tableau_rank_error(capsys):
     code, _, err = run(capsys, "tableau", "--rank", "2", "3")
     assert code == 2
     assert "outside" in err
+    for rank in ("0", "-2"):
+        code, out, err = run(capsys, "tableau", "--rank", rank, "1")
+        assert_usage_error(code, out, err)
+        assert f"rank must be a positive integer, got {rank}" in err
 
 
 def test_normalize_letters(capsys):
@@ -167,6 +171,17 @@ def test_verify_all_default_report_is_pinned(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "0bda4581a5350bcb8b05547e75c744ff709e48c1eb767869fe4148de96c7ea81"
+    )
+
+
+def test_verify_thorough_multipliers_report_is_pinned(capsys):
+    # --thorough raises the rank to 4 and the length to 7, and the suite
+    # runs the default sweep before the rank-4 one: 88,284,020 pair items
+    code, out, _ = run(capsys, "verify", "--thorough", "multipliers")
+    assert code == 0
+    assert "  ok   rank 4: pair automata agree with the product oracle: 88284020 items\n" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ae78183fed85829bcdcfff183fc02013eae771799839dd02425499983eab2dcb"
     )
 
 
@@ -421,9 +436,13 @@ def test_rank_cap_refuses_before_construction(capsys, monkeypatch, command, cap,
 
 
 def test_machines_rejects_multi_letter_generator(capsys):
-    code, out, err = run(capsys, "machines", "--rank", "3", "--gamma", "12")
-    assert_usage_error(code, out, err)
-    assert "single letter" in err
+    for argv in (
+        ["machines", "--rank", "3", "--gamma", "12"],
+        ["multiply", "--rank", "3", "--side", "right", "21", "12"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert_usage_error(code, out, err)
+        assert "single letter" in err, argv
 
 
 def test_verify_rejects_negative_max_len(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plactic import core
 from plactic.core import (
     Tableau,
     _sweep,
@@ -82,6 +83,7 @@ def test_tableau_of_word_worked_example():
     assert t.rows() == ((6,), (3, 4, 5, 5), (1, 1, 2, 3, 5))
     assert t.column_reading() == (6, 3, 1, 4, 1, 5, 2, 5, 3, 5)
     assert t.row_reading() == RUNNING_EXAMPLE
+    assert len(t) == len(RUNNING_EXAMPLE)
 
 
 def test_tableau_of_empty_word():
@@ -128,9 +130,10 @@ def test_knuth_equivalent():
     assert not knuth_equivalent((1, 2), (1, 2, 2))
 
 
-def test_knuth_class_bound():
+def test_knuth_class_bound(monkeypatch):
+    monkeypatch.setattr(core, "SEARCH_LIMIT", 2)
     with pytest.raises(ResourceLimit, match=r"equivalence class of \(1, 2, 3, .*\) exceeded 2 configurations"):
-        knuth_class((1, 2, 3, 1, 2, 3, 1, 2), max_class_size=2)
+        knuth_class((1, 2, 3, 1, 2, 3, 1, 2))
 
 
 def test_sweep_visits_seeds_then_breadth_first():

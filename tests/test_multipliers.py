@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from plactic import automata, verify
 from plactic.automata import (
     Nfa,
@@ -19,6 +21,7 @@ from plactic.automata import (
     trim,
 )
 from plactic.core import column_ge, column_runs, iter_columns, iter_tableaux, tableau_of_word
+from plactic.errors import RankError
 from plactic.multipliers import (
     build_k_acceptor,
     build_l_acceptor,
@@ -111,6 +114,8 @@ def test_right_multiplier_examples():
     assert ((1,),) in transducer_outputs(rm, ())
     rm2 = right_multiplier(2, 2)
     assert ((1,), (2,)) in transducer_outputs(rm2, ((1,),))
+    with pytest.raises(RankError, match="letter 4 outside 1..3"):
+        right_multiplier(3, 4)
 
 
 def test_left_multiplier_examples():
@@ -119,6 +124,8 @@ def test_left_multiplier_examples():
     assert ((2,),) in transducer_outputs(lm, ())
     lm3 = left_multiplier(3, 3)
     assert ((3, 2, 1),) in transducer_outputs(lm3, ((2, 1),))
+    with pytest.raises(RankError, match="letter 4 outside 1..3"):
+        left_multiplier(3, 4)
 
 
 def test_multipliers_match_normalization():
@@ -215,6 +222,8 @@ def test_lifted_multiplier_examples():
     lifted_left = lifted_multiplier(2, 2, "left")
     assert (2, 1, 1) in transducer_outputs(lifted_left, (1, 1))
     assert (2,) in transducer_outputs(lifted_left, ())
+    with pytest.raises(ValueError, match="side must be 'right' or 'left', got 'up'"):
+        lifted_multiplier(3, 1, "up")
 
 
 def column_factorizations(w):
@@ -273,9 +282,13 @@ def test_lifted_relation_is_functional_on_l():
 
 def test_identity_multiplier():
     ident = lifted_multiplier(2, None)
+    # the empty word is a generator too, on either side
+    empty_words = [general_multiplier(2, (), side) for side in ("right", "left")]
     for u in l_words(2, 4):
         assert transducer_outputs(ident, u) == {u}
+        assert all(transducer_outputs(m, u) == {u} for m in empty_words)
     assert transducer_outputs(ident, (1, 2, 1)) == set()
+    assert all(transducer_outputs(m, (1, 2, 1)) == set() for m in empty_words)
 
 
 def test_pair_automata_samples():
@@ -468,10 +481,6 @@ def test_pair_automata_are_numbered_breadth_first():
                 assert oracles.breadth_first_numbering(dfa) == {q: q for q in dfa.states}, (rank, gamma, key)
 
 
-def reversed_nfa(a):
-    return Nfa(a.alphabet, a.states, a.accepting, a.initial, [(dst, sym, src) for src, sym, dst in a.transitions])
-
-
 def test_padding_directions_mirror_each_other():
     # reversing delta_L(u, v) gives delta_R of the reversed words, so the L
     # machine of t is the minimized reversal of the R machine of t's reversed
@@ -482,7 +491,7 @@ def test_padding_directions_mirror_each_other():
                 t = lifted_multiplier(rank, gamma, side)
                 mirror = automata.reverse_relation(t)
                 for direction, other in (("L", "R"), ("R", "L")):
-                    via = automata._minimal_dfa(reversed_nfa(automata.synchronize(mirror, other).nfa))
+                    via = automata._minimal_dfa_of_reversal(automata.synchronize(mirror, other).nfa)
                     direct = automata.synchronize(t, direction).nfa
                     assert nfa_to_json(via) == nfa_to_json(direct), (rank, gamma, side, direction)
 
@@ -526,19 +535,18 @@ def test_can_emit_matches_the_output_prefix_sets():
 
 def test_synchronize_builds_few_dead_configurations(monkeypatch):
     # count the configuration graphs handed to minimization, and the
-    # preparations: R and L on one transducer share its preparation
+    # preparations: R and L on one transducer share its preparation.  The
+    # graph comes reversed, so the live configurations are those its
+    # initial (the accepting) configurations reach
     built, live, prepared = [], [], []
-    minimal_dfa, prepare = automata._minimal_dfa, automata._prepare
+    minimal_dfa, prepare = automata._minimal_dfa_of_reversal, automata._prepare
 
-    def record(a):
-        back = {}
-        for src, _, dst in a.transitions:
-            back.setdefault(dst, []).append(src)
-        built.append(len(a.states))
-        live.append(len(automata._sweep(a.accepting, lambda q: back.get(q, ()))))
-        return minimal_dfa(a)
+    def record(r):
+        built.append(len(r.states))
+        live.append(len(automata._sweep(r.start_set(), lambda q: set().union(*r.moves(frozenset({q})).values()))))
+        return minimal_dfa(r)
 
-    monkeypatch.setattr(automata, "_minimal_dfa", record)
+    monkeypatch.setattr(automata, "_minimal_dfa_of_reversal", record)
     monkeypatch.setattr(automata, "_prepare", lambda t: prepared.append(t) or prepare(t))
     for gamma in (None, 1, 2, 3):
         multiplier_pair_automata(3, gamma)
