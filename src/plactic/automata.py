@@ -602,9 +602,9 @@ def _settling_lags(p: _Prepared, right: bool) -> dict[tuple, set[int]]:
 
 
 def _minimal_dfa_of_reversal(r: Nfa) -> Nfa:
-    """The trim minimal DFA of L, as an Nfa with states 0..n-1, started from
-    r, the reversed machine, one for rev(L), by double reversal (Brzozowski
-    1962): `Nfa.determinized`, `Nfa.reversed`, `Nfa.determinized`.
+    """The trim minimal DFA of L, as an Nfa with states 0..n-1, starting from
+    r, a machine for the reversed language rev(L), by double reversal
+    (Brzozowski 1962): `Nfa.determinized`, `Nfa.reversed`, `Nfa.determinized`.
 
     - A subset construction from one start set gives an accessible DFA, so
       the first pass gives an accessible DFA for rev(L).
