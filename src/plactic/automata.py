@@ -741,8 +741,12 @@ def synchronize(t: Transducer, direction: str) -> PairAutomaton:
 
     configs, transitions = _explore(init, arcs, SEARCH_LIMIT, "synchronize")
     accepting = {cfg for cfg in configs if cfg[0] in t.accepting and not cfg[1] and not cfg[2]}
-    return PairAutomaton(_minimal_dfa_of_reversal(
-        Nfa(letters, configs, accepting, init, [(dst, sym, src) for src, sym, dst in transitions])), direction)
+    # the Nfa copies what it needs, so the search's graph goes before
+    # minimizing; the list hands the call the Nfa's last reference, so that
+    # `_minimal_dfa_of_reversal` frees it after its first pass
+    graph = [Nfa(letters, configs, accepting, init, [(dst, sym, src) for src, sym, dst in transitions])]
+    del configs, transitions, accepting
+    return PairAutomaton(_minimal_dfa_of_reversal(graph.pop()), direction)
 
 
 # -- export --------------------------------------------------------------

@@ -9,6 +9,7 @@ are byte-deterministic for a fixed set of flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -194,7 +195,15 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process, on the first call.
+
+    Each `parse_args` returns a fresh Namespace, so no option carries over
+    from one call to the next.  The parser captures the `cmd_*` functions,
+    `verify.SUITES` and the `verify.Config` defaults as they stand at that
+    first build, so no test monkeypatches them: `main` would not see the patch.
+    """
     parser = argparse.ArgumentParser(prog="plactic", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

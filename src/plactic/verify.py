@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from plactic import automata, multipliers, rewriting
 from plactic.core import (
+    SEARCH_LIMIT,
     Tableau,
     column_ge,
     insert_with_trace,
@@ -22,7 +23,7 @@ from plactic.core import (
     lnds,
     tableau_of_word,
 )
-from plactic.errors import RankError
+from plactic.errors import ParseError, RankError
 
 
 @dataclass
@@ -47,6 +48,16 @@ class Report:
 
 
 def _words(rank: int, max_len: int):
+    # the sum of rank^k over k <= max_len words, counted only until it
+    # passes the search limit: a larger sweep is refused before it is built
+    count = size = 1
+    for _ in range(max_len):
+        size *= rank
+        count += size
+        if count > SEARCH_LIMIT:
+            raise ParseError(
+                f"--max-len {max_len} sweeps at least {count} words at rank {rank}, more than {SEARCH_LIMIT}"
+            )
     out = [()]
     frontier = [()]
     for _ in range(max_len):

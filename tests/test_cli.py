@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from plactic import multipliers, rewriting, verify
-from plactic.cli import main
+from plactic.cli import build_parser, main
 from plactic.core import iter_tableaux, knuth_class
 
 import oracles
@@ -449,6 +449,45 @@ def test_verify_rejects_negative_max_len(capsys):
     code, out, err = run(capsys, "verify", "--max-len", "-1", "core")
     assert_usage_error(code, out, err)
     assert "--max-len" in err
+    # a word sweep past the search limit is refused before it is built:
+    # 2,391,484 words at rank 3 up to length 13, by both suites that sweep
+    for suite in ("core", "rewriting"):
+        code, out, err = run(capsys, "verify", "--rank", "3", "--max-len", "13", suite)
+        assert_usage_error(code, out, err)
+        assert "--max-len 13 sweeps at least 2391484 words" in err, suite
+    # the largest sweep the cap allows at rank 7
+    assert len(verify._words(7, 6)) == 137_257
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_shared_parser_carries_no_option_over(capsys, tmp_path):
+    # in one process, each call prints and exits as it does alone in a fresh
+    # one: no option of a call carries over to the next
+    out_file = tmp_path / "rules.txt"
+    sequence = [
+        ["multiply", "--rank", "3", "--side", "right", "--check", "211", "1"],
+        ["multiply", "--rank", "3", "--side", "right", "211", "1"],
+        ["rules", "--rank", "2", "--out", str(out_file)],
+        ["rules", "--rank", "2"],
+        ["multiply", "--rank", "3", "211", "1"],  # no --side: a usage error
+        ["normalize", "--rank", "2", "121"],
+    ]
+    together = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        together.append((code, capsys.readouterr().out))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    alone = [subprocess.run([sys.executable, "-m", "plactic", *argv], env=env, capture_output=True, text=True)
+             for argv in sequence]
+    assert together == [(r.returncode, r.stdout) for r in alone]
+    assert [code for code, _ in together] == [0, 0, 0, 0, 2, 0]
+    assert together[2][1] == "" and out_file.read_text() == together[3][1] != ""
 
 
 def test_benchmark_tracer_installs():
