@@ -9,7 +9,6 @@ as a binomial basis of the free algebra on the column generators.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
@@ -81,36 +80,72 @@ class RewritingSystem:
     rules: Mapping[tuple[Column, Column], tuple[Column, ...]]
 
 
-def rule(a: Column, b: Column) -> Optional[tuple[Column, ...]]:
-    """The right side of the rule on ab: None when `column_ge(a, b)`, else
-    the one or two columns of the tableau of ab, without insertion.
+def _letter_set(c: Column) -> int:
+    """The letters of a column as a bit mask, bit x for letter x."""
+    bits = 0
+    for x in c:
+        bits |= 1 << x
+    return bits
 
-    Each letter x of a, largest first, takes the smallest letter of b still
-    free that is at least x.  The taken letters form the right column; the
+
+def _match(a: Column, free: int) -> tuple[int, int]:
+    """The bracket matching of Lascoux and Schützenberger ("Le monoïde
+    plaxique", 1981) on the letters of a, largest first, and the letter set
+    of b: each letter x of a takes the smallest letter of b still free that
+    is at least x, the lowest set bit of `free >> x << x`.  Returns the
+    letter sets taken and still free."""
+    taken = 0
+    for x in a:
+        above = free >> x << x
+        if above:
+            low = above & -above
+            taken |= low
+            free ^= low
+    return taken, free
+
+
+def rule(a: Column, b: Column) -> Optional[tuple[Column, ...]]:
+    """The right side of the rule on ab, without insertion: None on a
+    comparable pair, else the one or two columns of the tableau of ab.
+
+    `_match` decides both: no letter of b is left free exactly when
+    `column_ge(a, b)`.  The letters of b it takes form the right column; the
     free ones join a in the left column, the only column if none is taken.
     """
-    if column_ge(a, b):
+    taken, free = _match(a, _letter_set(b))
+    if not free:
         return None
-    free = list(b[::-1])
-    taken = []
-    for x in a:
-        i = bisect_left(free, x)
-        if i < len(free):
-            taken.append(free.pop(i))
-    left = tuple(sorted(a + tuple(free), reverse=True))
-    return (left, tuple(sorted(taken, reverse=True))) if taken else (left,)
+    if not taken:
+        return (tuple(sorted(a + b, reverse=True)),)
+    left, right = list(a), []
+    for x in b:
+        if taken >> x & 1:
+            right.append(x)
+        else:
+            left.append(x)
+    left.sort(reverse=True)
+    return tuple(left), tuple(right)
 
 
 def generate_rules(n: int) -> RewritingSystem:
-    """One rule per ordered incomparable pair of columns, in generator order,
-    each right side from `rule`.  ResourceLimit when the table would exceed
-    PAIR_BUDGET entries."""
+    """One rule per ordered incomparable pair of columns, in generator order:
+    `_match` finds the pairs, those with a letter of b left free, and their
+    right sides, as `rule` does.  Each column's letter set is computed once,
+    and the right sides are made of the rank's own column objects.
+    ResourceLimit when the table would exceed PAIR_BUDGET entries."""
     check_rank(n)
     count = (2**n - 1) ** 2
     if count > PAIR_BUDGET:
         raise ResourceLimit(f"rank {n} needs {count} rule-table entries (budget {PAIR_BUDGET})")
-    columns = sorted(iter_columns(n), key=column_key)
-    rules = {(a, b): rhs for a in columns for b in columns if (rhs := rule(a, b)) is not None}
+    columns = [(c, _letter_set(c)) for c in sorted(iter_columns(n), key=column_key)]
+    column_of = {bits: c for c, bits in columns}
+    rules = {}
+    for a, a_bits in columns:
+        for b, b_bits in columns:
+            taken, free = _match(a, b_bits)
+            if free:
+                left = column_of[a_bits | free]
+                rules[a, b] = (left, column_of[taken]) if taken else (left,)
     return RewritingSystem(n, rules)
 
 

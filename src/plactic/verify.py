@@ -48,16 +48,23 @@ class Report:
 
 
 def _words(rank: int, max_len: int):
-    # the sum of rank^k over k <= max_len words, counted only until it
-    # passes the search limit: a larger sweep is refused before it is built
+    # the sum of rank^k words and of k * rank^k letters over k <= max_len,
+    # counted only until the words pass the search limit: a sweep of more
+    # words, or of more letters, is refused before it is built
     count = size = 1
-    for _ in range(max_len):
+    letters = 0
+    for k in range(1, max_len + 1):
         size *= rank
         count += size
+        letters += k * size
         if count > SEARCH_LIMIT:
             raise ParseError(
                 f"--max-len {max_len} sweeps at least {count} words at rank {rank}, more than {SEARCH_LIMIT}"
             )
+    if letters > SEARCH_LIMIT:
+        raise ParseError(
+            f"--max-len {max_len} sweeps {letters} letters at rank {rank}, more than {SEARCH_LIMIT}"
+        )
     out = [()]
     frontier = [()]
     for _ in range(max_len):
@@ -138,6 +145,8 @@ def verify_core(cfg: Config) -> Report:
 
 def verify_rewriting(cfg: Config) -> Report:
     rep = Report("rewriting")
+    # the word sweep is sized before any rule table is built
+    words = _words(cfg.rank, cfg.max_len)
     top = min(cfg.rank + 2, RANK_CAPS["rewriting"]) if cfg.thorough else cfg.rank
     tables = {n: rewriting.generate_rules(n) for n in range(1, top + 1)}
     for n, rs in tables.items():
@@ -170,7 +179,6 @@ def verify_rewriting(cfg: Config) -> Report:
                 bad.append(o)
         rep.check(f"rank {n}: critical pairs converge", count, bad)
 
-    words = _words(cfg.rank, cfg.max_len)
     bad = []
     for w in words:
         nf = rewriting.normalize(rewriting.encode_word(w), tables[cfg.rank])

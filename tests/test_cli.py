@@ -459,6 +459,29 @@ def test_verify_rejects_negative_max_len(capsys):
     assert len(verify._words(7, 6)) == 137_257
 
 
+def test_verify_refuses_a_letter_heavy_sweep(capsys):
+    # 20,001 words but 200,010,000 letters at rank 1: refused by its letters,
+    # as a sweep of more than the search limit, before it is built
+    for suite in ("core", "rewriting"):
+        code, out, err = run(capsys, "verify", "--rank", "1", "--max-len", "20000", suite)
+        assert_usage_error(code, out, err)
+        assert "--max-len 20000 sweeps 200010000 letters at rank 1, more than 1000000" in err, suite
+    # the largest sweeps the tests and the README run stay within it:
+    # 800,667 letters at rank 7 up to length 6, 324,726 at rank 6
+    assert sum(map(len, verify._words(7, 6))) == 800_667
+    assert sum(map(len, verify._words(6, 6))) == 324_726
+
+
+def test_verify_rewriting_sizes_its_sweep_before_any_rule_table(capsys, monkeypatch):
+    def build(n):
+        raise AssertionError(f"built the rank-{n} rule table")
+
+    monkeypatch.setattr(rewriting, "generate_rules", build)
+    code, out, err = run(capsys, "verify", "--rank", "6", "--max-len", "8", "rewriting")
+    assert_usage_error(code, out, err)
+    assert "--max-len 8 sweeps at least 2015539 words at rank 6" in err
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 

@@ -81,6 +81,22 @@ def test_rules_are_built_in_generator_order():
                 assert rule(a, b) == product_columns(a, b) == rules.get((a, b))
 
 
+def test_rule_table_reuses_the_rank_columns():
+    # every column of every right side is the very object its build started
+    # from, the one that also stands in the left sides, not a fresh tuple
+    for n in range(1, 7):
+        rules = generate_rules(n).rules
+        columns = {}
+        for lhs in rules:
+            for c in lhs:
+                assert columns.setdefault(c, c) is c
+        if n > 1:
+            assert len(columns) == 2**n - 1
+        for rhs in rules.values():
+            for c in rhs:
+                assert columns[c] is c
+
+
 def test_rule_shape_invariants():
     for n in range(1, 5):
         for (a, b), rhs in generate_rules(n).rules.items():
