@@ -28,6 +28,10 @@ class ViolationFound(PlacticError):
         self.rule = rule
         super().__init__(message or f"non-decreasing rule: {rule!r}")
 
+    def __reduce__(self):
+        # the default rebuilds from args, which hold the message alone
+        return type(self), (self.rule, str(self))
+
 
 class NotInL(PlacticError):
     """Input word is not in the normal-form language."""

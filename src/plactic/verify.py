@@ -7,6 +7,8 @@ reports counts; any witness of failure is named in the report.
 from __future__ import annotations
 
 import itertools
+import os
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -47,10 +49,12 @@ class Report:
             self.lines.append(f"ok   {label}: {count} items")
 
 
-def _words(rank: int, max_len: int):
+def _check_sweep(rank: int, max_len: int) -> None:
+    """ParseError when the words of at most max_len letters over rank
+    letters are more than SEARCH_LIMIT, or hold more than SEARCH_LIMIT
+    letters in all."""
     # the sum of rank^k words and of k * rank^k letters over k <= max_len,
-    # counted only until the words pass the search limit: a sweep of more
-    # words, or of more letters, is refused before it is built
+    # counted only until the words pass the search limit
     count = size = 1
     letters = 0
     for k in range(1, max_len + 1):
@@ -65,6 +69,11 @@ def _words(rank: int, max_len: int):
         raise ParseError(
             f"--max-len {max_len} sweeps {letters} letters at rank {rank}, more than {SEARCH_LIMIT}"
         )
+
+
+def _words(rank: int, max_len: int):
+    # a sweep of too many words or letters is refused before it is built
+    _check_sweep(rank, max_len)
     out = [()]
     frontier = [()]
     for _ in range(max_len):
@@ -206,12 +215,12 @@ def verify_automata(cfg: Config) -> Report:
     rep = Report("automata")
     sigma = (1, 2, 3)
     words = [w for L in range(5) for w in itertools.product(sigma, repeat=L)]
+    mirror = [w[::-1] for w in words]
     bad = [
         (u, v)
-        for u in words
-        for v in words
-        if tuple(reversed(automata.delta_r(u, v)))
-        != automata.delta_l(tuple(reversed(u)), tuple(reversed(v)))
+        for u, mu in zip(words, mirror)
+        for v, mv in zip(words, mirror)
+        if automata.delta_r(u, v)[::-1] != automata.delta_l(mu, mv)
     ]
     rep.check("padded encodings are mirror images", len(words) ** 2, bad)
 
@@ -371,12 +380,96 @@ SUITES = {
 RANK_CAPS = {"rewriting": 7, "multipliers": 6}
 
 
+# the suites that sweep every word up to --max-len letters
+SWEEPS = ("core", "rewriting")
+
+
 def run(suite: str, cfg: Config) -> list[Report]:
-    """The reports of one suite, or of all; RankError before any suite runs
-    when the rank exceeds the cap of one of them."""
+    """The reports of one suite, or of all, in suite order.
+
+    RankError when the rank exceeds the cap of one of the suites, and
+    ParseError when a word sweep is too large, before any suite runs.  With
+    several suites, on two or more cores, in a process with one thread and
+    where `os.fork` exists, a forked worker runs the first half of the
+    suites while this process runs the second half; otherwise all run here,
+    one after the other.  Either way the reports are the same, and a raising
+    suite raises the exception of the earliest one in suite order.
+    """
     names = list(SUITES) if suite == "all" else [suite]
     for name in names:
         cap = RANK_CAPS.get(name)
         if cap is not None and cfg.rank > cap:
             raise RankError(f"verify {name} runs at --rank {cap} at most, got {cfg.rank}")
-    return [SUITES[name](cfg) for name in names]
+    if any(name in SWEEPS for name in names):
+        _check_sweep(cfg.rank, cfg.max_len)
+    # a fork copies only the calling thread, so a process with others runs
+    # every suite here; the second half, `automata` and `multipliers` under
+    # "all", stays in this process, where a tracer that wraps the package's
+    # functions sees their calls
+    threading = sys.modules.get("threading")
+    forks = (
+        hasattr(os, "fork")
+        and (os.cpu_count() or 1) >= 2
+        and (threading is None or threading.active_count() == 1)
+    )
+    half = len(names) // 2 if forks else 0
+    results = _in_two_processes(names[:half], names[half:], cfg) if half else [_results(names, cfg)]
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return [rep for result in results for rep in result]
+
+
+def _results(names: list[str], cfg: Config) -> list[Report] | Exception:
+    """The reports of the named suites, or the exception of the first one
+    that raises."""
+    try:
+        return [SUITES[name](cfg) for name in names]
+    except Exception as exc:
+        return exc
+
+
+def _in_two_processes(first: list[str], second: list[str], cfg: Config) -> list:
+    """The `_results` of the suites `first`, from one forked worker, and of
+    the suites `second`, run in this process meanwhile.
+
+    The worker sends its results pickled through a pipe and leaves through
+    `os._exit`: it flushes no stream, runs no exit handler and never returns
+    to the caller.  This process kills the worker if it still runs and
+    reaps it, whatever happens here.  When no process can be started, or the
+    worker sends nothing that unpickles (its exception does not pickle, or
+    it was killed), its suites run here.
+    """
+    # imported here, so that importing the package loads neither
+    import pickle
+    import signal
+
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return [_results(first + second, cfg)]
+    if pid == 0:
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                pipe.write(pickle.dumps(_results(first, cfg)))
+        finally:
+            os._exit(0)
+    os.close(write)
+    try:
+        with open(read, "rb") as pipe:
+            mine = _results(second, cfg)
+            sent = pipe.read()
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    try:
+        theirs = pickle.loads(sent)
+    except (EOFError, pickle.UnpicklingError):
+        theirs = _results(first, cfg)
+    return [theirs, mine]

@@ -2,9 +2,12 @@ import hashlib
 import itertools
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ import pytest
 from plactic import multipliers, rewriting, verify
 from plactic.cli import build_parser, main
 from plactic.core import iter_tableaux, knuth_class
+from plactic.errors import ParseError, PlacticError, ResourceLimit, ViolationFound
 
 import oracles
 
@@ -480,6 +484,159 @@ def test_verify_rewriting_sizes_its_sweep_before_any_rule_table(capsys, monkeypa
     code, out, err = run(capsys, "verify", "--rank", "6", "--max-len", "8", "rewriting")
     assert_usage_error(code, out, err)
     assert "--max-len 8 sweeps at least 2015539 words at rank 6" in err
+
+
+def test_verify_refuses_a_large_sweep_before_any_suite_runs(capsys, monkeypatch):
+    # 797,161 words but 9,167,358 letters: refused before any suite runs and
+    # before any worker process starts, not after the suites that sweep no
+    # words have run
+    def suite(cfg):
+        raise AssertionError("a suite ran")
+
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, suite)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    code, out, err = run(capsys, "verify", "--rank", "3", "--max-len", "12", "all")
+    assert_usage_error(code, out, err)
+    assert err == "error: --max-len 12 sweeps 9167358 letters at rank 3, more than 1000000\n"
+
+
+def run_in_one_and_two_processes(capsys, monkeypatch, *argv):
+    """(code, stdout, stderr) of `main(argv)` run with one CPU and with two,
+    each with the number of forks it made; no worker may be left behind."""
+    results = []
+    real_fork = os.fork
+    for cpus in (1, 2):
+        forks = []
+
+        def fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(os, "fork", fork)
+        results.append((run(capsys, *argv), len(forks)))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    return results
+
+
+def test_verify_all_reads_the_same_in_one_process_and_in_two(capsys, monkeypatch):
+    (serial, serial_forks), (split, split_forks) = run_in_one_and_two_processes(
+        capsys, monkeypatch, "verify", "all"
+    )
+    assert (serial_forks, split_forks) == (0, 1)
+    assert serial == split
+    assert split[0] == 0 and split[1].endswith("PASS\n")
+    # one suite, or a second thread, runs here whatever the core count
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    run(capsys, "verify", "--rank", "1", "--max-len", "1", "automata")
+    done = threading.Event()
+    waiting = threading.Thread(target=done.wait)
+    waiting.start()
+    try:
+        assert run(capsys, "verify", "all") == serial
+    finally:
+        done.set()
+        waiting.join(timeout=10)
+    assert not waiting.is_alive()
+
+    # a fork that fails runs every suite here, and so does a missing os.fork
+    def fork():
+        raise BlockingIOError("no process")
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert run(capsys, "verify", "all") == serial
+    monkeypatch.delattr(os, "fork")
+    assert run(capsys, "verify", "all") == serial
+
+
+def test_a_failure_in_the_worker_reads_as_in_one_process(capsys, monkeypatch):
+    # the core suite, which the worker runs, sees one wrong lnds
+    real = verify.lnds
+    monkeypatch.setattr(verify, "lnds", lambda w: real(w) + (tuple(w) == (2, 1)))
+    (serial, _), (split, forks) = run_in_one_and_two_processes(capsys, monkeypatch, "verify", "all")
+    assert forks == 1
+    assert serial == split
+    code, out, err = split
+    assert code == 1 and err == ""
+    assert "  FAIL columns=lnds and rows=lds: 1/1093 items failed\n" in out
+    assert "  FAILURE columns=lnds and rows=lds: 1 failures, first: (2, 1)\n" in out
+    assert out.endswith("FAIL\n")
+
+
+class Unpicklable(PlacticError):
+    def __reduce__(self):
+        raise TypeError("not pickled")
+
+
+@pytest.mark.parametrize("raising", [
+    # worker and parent both raise: the worker's suite comes first
+    {"core": ResourceLimit("core gave up"), "multipliers": ParseError("multipliers refused")},
+    {"rewriting": ViolationFound(((2, 1), ((21,),))), "automata": ResourceLimit("automata gave up")},
+    # the parent alone raises
+    {"multipliers": ParseError("multipliers refused")},
+    # an exception that does not pickle: the worker's suites run again here
+    {"rewriting": Unpicklable("rewriting broke"), "multipliers": ParseError("multipliers refused")},
+])
+def test_the_earliest_exception_in_suite_order_wins(capsys, monkeypatch, raising):
+    for name, exc in raising.items():
+        def suite(cfg, exc=exc):
+            raise exc
+
+        monkeypatch.setitem(verify.SUITES, name, suite)
+    (serial, _), (split, forks) = run_in_one_and_two_processes(capsys, monkeypatch, "verify", "all")
+    assert forks == 1
+    assert serial == split
+    first = next(iter(raising.values()))
+    code, out, err = split
+    assert (code, out, err) == (2 if isinstance(first, ParseError) else 1, "", f"error: {first}\n")
+
+
+def test_an_interrupt_stops_and_reaps_the_worker(monkeypatch):
+    # the worker would sleep for a minute; an interrupt in this process's
+    # half kills it at once
+    def interrupted(cfg):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(verify.SUITES, "core", lambda cfg: time.sleep(60))
+    monkeypatch.setitem(verify.SUITES, "automata", interrupted)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        verify.run("all", verify.Config(rank=1, max_len=1))
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_importing_the_cli_loads_no_process_machinery():
+    # the worker is a bare fork: importing the command line loads no
+    # process pool, and pickle and signal only when verify forks
+    modules = ("multiprocessing", "concurrent.futures", "pickle", "signal")
+    code = f"import sys, plactic.cli; print([m for m in {modules!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
+
+def test_errors_survive_pickling():
+    # the worker process sends its exception pickled
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    for cls in [PlacticError, *subclasses(PlacticError)]:
+        if cls.__module__ != "plactic.errors":
+            continue
+        exc = cls(((2, 1), ((21,),))) if cls is ViolationFound else cls("a message")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert str(back) == str(exc)
+        assert getattr(back, "rule", None) == getattr(exc, "rule", None)
+    assert str(ViolationFound((2, 1))) == "non-decreasing rule: (2, 1)"
 
 
 def test_parser_is_built_once():
