@@ -94,13 +94,23 @@ def verify_core(cfg: Config) -> Report:
     bad = [w for w in words if len(tab[w].row_reading()) != len(w)]
     rep.check("length preserved", len(words), bad)
 
+    # the sweep holds every prefix, one length after another: each word's
+    # tableau is its prefix's with the last letter inserted, and each word
+    # reports every bad step on its way, its prefix's first
     bad = []
+    length, shorter, level = 0, {}, {}
     for w in words:
-        t = Tableau()
-        for g in w:
-            t, trace = insert_with_trace(t, g)
+        if not w:
+            t, traces = Tableau(), ()
+        else:
+            if len(w) > length:
+                length, shorter, level = len(w), level, {}
+            t, traces = shorter[w[:-1]]
+            t, trace = insert_with_trace(t, w[-1])
             if any(trace[i + 1][1] > trace[i][1] for i in range(len(trace) - 1)):
-                bad.append((w, trace))
+                traces += (trace,)
+        level[w] = t, traces
+        bad.extend((w, trace) for trace in traces)
         if not t.is_valid():
             bad.append(w)
     rep.check("insertion stays weakly left and valid", len(words), bad)
@@ -274,95 +284,144 @@ def verify_automata(cfg: Config) -> Report:
     return rep
 
 
-def _check_multipliers(rep: Report, rank: int, tabs: list, prefix: str) -> None:
-    """Column, lifted and pair multipliers of one rank against normalization
-    and tableau products, over the given tableaux; labels start with prefix."""
-    rs = rewriting.generate_rules(rank)
-    kwords = [t.columns for t in tabs]
-    lwords = [t.column_reading() for t in tabs]
-    non_k = [
-        w
-        for w in itertools.product(list(iter_columns(rank)), repeat=2)
-        if not column_ge(w[0], w[1])
+# the part of the multipliers suite whose gamma is BIJECTION checks that the
+# column readings of its sweep biject with its tableaux
+BIJECTION = "bijection"
+
+
+def _multiplier_parts(cfg: Config) -> list[tuple]:
+    """The parts of the multipliers suite in report order, each
+    (prefix, rank, max_len, gamma): every generator gamma of the sweep, eps
+    (None) first, then the bijection; under --thorough, the default sweep
+    and then every generator of the given bounds, labelled with their rank."""
+    # --thorough keeps the default sweep and adds the given bounds after it
+    base = Config() if cfg.thorough else cfg
+    parts = [("", base.rank, base.max_len, gamma) for gamma in [None, *range(1, base.rank + 1), BIJECTION]]
+    if cfg.thorough:
+        prefix = f"rank {cfg.rank}: "
+        parts += [(prefix, cfg.rank, cfg.max_len, gamma) for gamma in [None, *range(1, cfg.rank + 1)]]
+    return parts
+
+
+@dataclass
+class _Sweep:
+    """The tableaux of one rank and size, as K-words and column readings,
+    and the rule table of the rank: what every part over them shares."""
+
+    rank: int
+    tabs: list[Tableau]
+    rules: rewriting.RewritingSystem
+    kwords: list
+    lwords: list
+    index: dict
+
+
+def _multiplier_part(part: tuple, sweeps: dict) -> list[tuple[str, int, list]]:
+    """The checks of one part of the multipliers suite, as (label, items,
+    witnesses) in report order; `sweeps` keeps the sweeps already built, by
+    rank and size, for the next parts."""
+    prefix, rank, max_len, gamma = part
+    sweep = sweeps.get((rank, max_len))
+    if sweep is None:
+        tabs = list(iter_tableaux(rank, max_len))
+        lwords = [t.column_reading() for t in tabs]
+        sweep = _Sweep(rank, tabs, rewriting.generate_rules(rank), [t.columns for t in tabs], lwords,
+                       {u: i for i, u in enumerate(lwords)})
+        sweeps[rank, max_len] = sweep
+    if gamma == BIJECTION:
+        seen = set()
+        bad = []
+        for t, w in zip(sweep.tabs, sweep.lwords):
+            if w in seen:
+                bad.append(w)
+            seen.add(w)
+            if tableau_of_word(w) != t:
+                bad.append(w)
+        return [("column readings biject with tableaux", len(sweep.tabs), bad)]
+    return _check_generator(sweep, gamma, prefix)
+
+
+def _check_generator(sweep: _Sweep, gamma: int | None, prefix: str) -> list[tuple[str, int, list]]:
+    """Column, lifted and pair multipliers of one generator (None for eps)
+    against normalization and tableau products, over the tableaux of the
+    sweep, as (label, items, witnesses); labels start with prefix."""
+    # the generator's column machines are checked and then lifted, so each
+    # is built once; the lifts and the pair automata are checked against the
+    # same product column readings, computed once
+    rank, kwords, lwords, index = sweep.rank, sweep.kwords, sweep.lwords, sweep.index
+    column_bad, domain_bad, lifted_bad, pair_bad = [], [], [], []
+    column_count = domain_count = 0
+    if gamma is None:
+        lifted_by_side = {side: multipliers.lifted_multiplier(rank, None, side) for side in ("right", "left")}
+    else:
+        column = {
+            "right": multipliers.right_multiplier(rank, gamma),
+            "left": multipliers.left_multiplier(rank, gamma),
+        }
+        column_count = 2 * len(kwords)
+        column_images = {side: automata.transducer_images(t, kwords) for side, t in column.items()}
+        for u in kwords:
+            if column_images["right"][u] != {rewriting.normalize(u + ((gamma,),), sweep.rules)}:
+                column_bad.append(("right", gamma, u))
+            if column_images["left"][u] != {rewriting.normalize(((gamma,),) + u, sweep.rules)}:
+                column_bad.append(("left", gamma, u))
+        if gamma == 1:
+            non_k = [
+                w
+                for w in itertools.product(list(iter_columns(rank)), repeat=2)
+                if not column_ge(w[0], w[1])
+            ]
+            domain_count = len(non_k)
+            domain_images = automata.transducer_images(column["right"], non_k)
+            domain_bad = [u for u in non_k if domain_images[u]]
+        lifted_by_side = {side: multipliers.lift(t, rank) for side, t in column.items()}
+
+    g = (gamma,) if gamma else ()
+    right = {u: tableau_of_word(u + g).column_reading() for u in lwords}
+    # without a generator both sides multiply by eps and share the products
+    left = {u: tableau_of_word(g + u).column_reading() for u in lwords} if g else right
+    products = {"right": right, "left": left}
+    for side in ("right", "left"):
+        images = automata.transducer_images(lifted_by_side[side], lwords)
+        for u in lwords:
+            if images[u] != {products[side][u]}:
+                lifted_bad.append((side, gamma, u))
+
+    # a machine must accept exactly the graph {(u, u*gamma)} inside
+    # lwords x lwords; the symmetric difference is the failures, listed
+    # in (u, v) index order
+    machines = multipliers.multiplier_pair_automata(rank, gamma, lifted=lifted_by_side)
+    for (side, direction), pa in machines.items():
+        expected = products[side]
+        graph = {(u, expected[u]) for u in lwords if expected[u] in index}
+        wrong = pa.accepted_pairs(lwords) ^ graph
+        for u, v in sorted(wrong, key=lambda pair: (index[pair[0]], index[pair[1]])):
+            pair_bad.append((side, direction, gamma, u, v))
+    return [
+        (f"{prefix}column multipliers match normalization", column_count, column_bad),
+        (f"{prefix}multiplier domain excludes non-normal words", domain_count, domain_bad),
+        (f"{prefix}lifted multipliers match tableau products", 2 * len(lwords), lifted_bad),
+        (f"{prefix}pair automata agree with the product oracle", len(machines) * len(lwords) ** 2, pair_bad),
     ]
 
-    # one generator at a time: its column machines are checked and then
-    # lifted, so each is built once and only one generator's machines are
-    # held; the lifts and the pair automata are checked against the same
-    # product column readings, computed once
-    index = {u: i for i, u in enumerate(lwords)}
-    column_bad, domain_bad, lifted_bad, pair_bad = [], [], [], []
-    lifted_count = pair_count = 0
-    for gamma in [None] + list(range(1, rank + 1)):
-        if gamma is None:
-            lifted_by_side = {side: multipliers.lifted_multiplier(rank, None, side) for side in ("right", "left")}
-        else:
-            column = {
-                "right": multipliers.right_multiplier(rank, gamma),
-                "left": multipliers.left_multiplier(rank, gamma),
-            }
-            column_images = {side: automata.transducer_images(t, kwords) for side, t in column.items()}
-            for u in kwords:
-                if column_images["right"][u] != {rewriting.normalize(u + ((gamma,),), rs)}:
-                    column_bad.append(("right", gamma, u))
-                if column_images["left"][u] != {rewriting.normalize(((gamma,),) + u, rs)}:
-                    column_bad.append(("left", gamma, u))
-            if gamma == 1:
-                domain_images = automata.transducer_images(column["right"], non_k)
-                domain_bad = [u for u in non_k if domain_images[u]]
-            lifted_by_side = {side: multipliers.lift(t, rank) for side, t in column.items()}
 
-        g = (gamma,) if gamma else ()
-        right = {u: tableau_of_word(u + g).column_reading() for u in lwords}
-        # without a generator both sides multiply by eps and share the products
-        left = {u: tableau_of_word(g + u).column_reading() for u in lwords} if g else right
-        products = {"right": right, "left": left}
-        for side in ("right", "left"):
-            lifted_count += len(lwords)
-            images = automata.transducer_images(lifted_by_side[side], lwords)
-            for u in lwords:
-                if images[u] != {products[side][u]}:
-                    lifted_bad.append((side, gamma, u))
-
-        # a machine must accept exactly the graph {(u, u*gamma)} inside
-        # lwords x lwords; the symmetric difference is the failures, listed
-        # in (u, v) index order
-        machines = multipliers.multiplier_pair_automata(rank, gamma, lifted=lifted_by_side)
-        for (side, direction), pa in machines.items():
-            pair_count += len(lwords) ** 2
-            expected = products[side]
-            graph = {(u, expected[u]) for u in lwords if expected[u] in index}
-            wrong = pa.accepted_pairs(lwords) ^ graph
-            for u, v in sorted(wrong, key=lambda pair: (index[pair[0]], index[pair[1]])):
-                pair_bad.append((side, direction, gamma, u, v))
-    rep.check(f"{prefix}column multipliers match normalization", 2 * rank * len(kwords), column_bad)
-    rep.check(f"{prefix}multiplier domain excludes non-normal words", len(non_k), domain_bad)
-    rep.check(f"{prefix}lifted multipliers match tableau products", lifted_count, lifted_bad)
-    rep.check(f"{prefix}pair automata agree with the product oracle", pair_count, pair_bad)
+def _multipliers_report(records: list) -> Report:
+    """The multipliers report merged from the records of its parts, in part
+    order: a label's items add up and its witnesses follow one another."""
+    rep = Report("multipliers")
+    totals: dict[str, tuple[int, list]] = {}
+    for record in records:
+        for label, count, bad in record:
+            items, witnesses = totals.get(label, (0, []))
+            totals[label] = items + count, witnesses + bad
+    for label, (count, bad) in totals.items():
+        rep.check(label, count, bad)
+    return rep
 
 
 def verify_multipliers(cfg: Config) -> Report:
-    rep = Report("multipliers")
-    # --thorough keeps the default sweep and adds the given bounds after it
-    base = Config() if cfg.thorough else cfg
-    tabs = list(iter_tableaux(base.rank, base.max_len))
-    _check_multipliers(rep, base.rank, tabs, "")
-
-    seen = {}
-    bad = []
-    for t in tabs:
-        w = t.column_reading()
-        if w in seen:
-            bad.append(w)
-        seen[w] = t
-        if tableau_of_word(w) != t:
-            bad.append(w)
-    rep.check("column readings biject with tableaux", len(tabs), bad)
-
-    if cfg.thorough:
-        tabs = list(iter_tableaux(cfg.rank, cfg.max_len))
-        _check_multipliers(rep, cfg.rank, tabs, f"rank {cfg.rank}: ")
-    return rep
+    sweeps: dict = {}
+    return _multipliers_report([_multiplier_part(part, sweeps) for part in _multiplier_parts(cfg)])
 
 
 SUITES = {
@@ -376,7 +435,8 @@ SUITES = {
 # the largest rank each suite runs at: the rewriting suite checks the critical
 # pairs of every rank up to the one given, yielded one at a time (623,010 at
 # rank 7), and the multipliers suite synchronizes every pair automaton of its
-# rank (all 28 at rank 6, about 10–14 s and 49 MB over 6 cells on 2 cores)
+# rank (all 28 at rank 6 over 6 cells: about 6–6.5 s on 2 cores, with peaks of
+# 51 MB in the first process and 44 MB in the worker)
 RANK_CAPS = {"rewriting": 7, "multipliers": 6}
 
 
@@ -388,12 +448,16 @@ def run(suite: str, cfg: Config) -> list[Report]:
     """The reports of one suite, or of all, in suite order.
 
     RankError when the rank exceeds the cap of one of the suites, and
-    ParseError when a word sweep is too large, before any suite runs.  With
-    several suites, on two or more cores, in a process with one thread and
-    where `os.fork` exists, a forked worker runs the first half of the
-    suites while this process runs the second half; otherwise all run here,
-    one after the other.  Either way the reports are the same, and a raising
-    suite raises the exception of the earliest one in suite order.
+    ParseError when a word sweep is too large, before any suite runs.  The
+    units of work are the suites, except that `multipliers` gives one unit
+    per generator it checks and one for its bijection check.  On two or
+    more cores, in a process with one thread and where `os.fork` exists, a
+    forked worker runs the first half of the suites and every other
+    generator, from the first, while this process runs the rest; otherwise,
+    or when the worker would have nothing to run, all run here, one after
+    the other.  Either way the reports are the same, and a raising unit
+    raises the exception of the earliest one in suite order, and within
+    `multipliers` in generator order.
     """
     names = list(SUITES) if suite == "all" else [suite]
     for name in names:
@@ -403,42 +467,65 @@ def run(suite: str, cfg: Config) -> list[Report]:
     if any(name in SWEEPS for name in names):
         _check_sweep(cfg.rank, cfg.max_len)
     # a fork copies only the calling thread, so a process with others runs
-    # every suite here; the second half, `automata` and `multipliers` under
-    # "all", stays in this process, where a tracer that wraps the package's
-    # functions sees their calls
+    # every suite here
     threading = sys.modules.get("threading")
     forks = (
         hasattr(os, "fork")
         and (os.cpu_count() or 1) >= 2
         and (threading is None or threading.active_count() == 1)
     )
-    half = len(names) // 2 if forks else 0
-    results = _in_two_processes(names[:half], names[half:], cfg) if half else [_results(names, cfg)]
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    return [rep for result in results for rep in result]
+    units = [(name, None) for name in names]
+    worker = []
+    if forks:
+        # a suite put in the place of verify_multipliers runs whole
+        if SUITES["multipliers"] is verify_multipliers:
+            units = [(name, part) for name in names
+                     for part in (_multiplier_parts(cfg) if name == "multipliers" else [None])]
+        generators = [unit for unit in units if unit[1] is not None and unit[1][3] != BIJECTION]
+        # this process keeps `automata` and generator 1, and with them every
+        # function that a tracer wrapping the package's functions counts
+        worker = [unit for unit in units if unit[0] in names[: len(names) // 2] or unit in generators[::2]]
+    here = [unit for unit in units if unit not in worker]
+    results = _in_two_processes(worker, here, cfg) if worker else dict(zip(here, _results(here, cfg)))
+    # each side stops at its first exception, so the first exception in
+    # unit order comes before any unit left unrun
+    for unit in units:
+        if isinstance(results[unit], Exception):
+            raise results[unit]
+    reports = []
+    for name in names:
+        parts = [part for n, part in units if n == name]
+        if parts == [None]:
+            reports.append(results[name, None])
+        else:
+            reports.append(_multipliers_report([results[name, part] for part in parts]))
+    return reports
 
 
-def _results(names: list[str], cfg: Config) -> list[Report] | Exception:
-    """The reports of the named suites, or the exception of the first one
-    that raises."""
+def _results(units: list[tuple], cfg: Config) -> list:
+    """The result of each unit in turn, a suite's report or a part's
+    record, up to the first one that raises, whose exception ends the
+    list."""
+    sweeps: dict = {}
+    results = []
     try:
-        return [SUITES[name](cfg) for name in names]
+        for name, part in units:
+            results.append(SUITES[name](cfg) if part is None else _multiplier_part(part, sweeps))
     except Exception as exc:
-        return exc
+        results.append(exc)
+    return results
 
 
-def _in_two_processes(first: list[str], second: list[str], cfg: Config) -> list:
-    """The `_results` of the suites `first`, from one forked worker, and of
-    the suites `second`, run in this process meanwhile.
+def _in_two_processes(first: list[tuple], second: list[tuple], cfg: Config) -> dict:
+    """The `_results` of the units `first`, from one forked worker, and of
+    the units `second`, run in this process meanwhile, by unit.
 
     The worker sends its results pickled through a pipe and leaves through
     `os._exit`: it flushes no stream, runs no exit handler and never returns
     to the caller.  This process kills the worker if it still runs and
     reaps it, whatever happens here.  When no process can be started, or the
     worker sends nothing that unpickles (its exception does not pickle, or
-    it was killed), its suites run here.
+    it was killed), its units run here.
     """
     # imported here, so that importing the package loads neither
     import pickle
@@ -452,7 +539,7 @@ def _in_two_processes(first: list[str], second: list[str], cfg: Config) -> list:
     except OSError:
         os.close(read)
         os.close(write)
-        return [_results(first + second, cfg)]
+        return dict(zip(first + second, _results(first + second, cfg)))
     if pid == 0:
         try:
             os.close(read)
@@ -472,4 +559,4 @@ def _in_two_processes(first: list[str], second: list[str], cfg: Config) -> list:
         theirs = pickle.loads(sent)
     except (EOFError, pickle.UnpicklingError):
         theirs = _results(first, cfg)
-    return [theirs, mine]
+    return dict(zip(first, theirs)) | dict(zip(second, mine))

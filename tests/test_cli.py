@@ -14,7 +14,7 @@ import pytest
 
 from plactic import multipliers, rewriting, verify
 from plactic.cli import build_parser, main
-from plactic.core import iter_tableaux, knuth_class
+from plactic.core import Tableau, iter_tableaux, knuth_class
 from plactic.errors import ParseError, PlacticError, ResourceLimit, ViolationFound
 
 import oracles
@@ -220,6 +220,46 @@ def test_equivalence_check_reports_what_every_pair_reports(monkeypatch, wrong):
     assert f"{label}: {len(bad)} failures, first: {bad[0]!r}" in rep.failures
     if len(wrong) == 1:
         assert (len(bad), len(pairs), bad[0]) == (1, 33033, ((2, 3), (3, 2)))
+
+
+def test_insertion_check_reports_what_inserting_every_word_from_scratch_reports(monkeypatch):
+    # two (tableau, letter) steps get a trace that moves right; the check,
+    # which inserts each word's last letter into its prefix's tableau, must
+    # report the witnesses of its definition, which inserts every word from
+    # the empty tableau, in the same order
+    real = verify.insert_with_trace
+    planted = {(Tableau(), 2), (Tableau(((2,),)), 1)}
+
+    def insert_with_trace(t, g):
+        out, trace = real(t, g)
+        return out, (trace + ((0, 99),) if (t, g) in planted else trace)
+
+    monkeypatch.setattr(verify, "insert_with_trace", insert_with_trace)
+    checks = {}
+    real_check = verify.Report.check
+
+    def check(rep, label, count, witnesses):
+        checks[label] = (count, list(witnesses))
+        real_check(rep, label, count, witnesses)
+
+    monkeypatch.setattr(verify.Report, "check", check)
+    rep = verify.verify_core(verify.Config(rank=3, max_len=5))
+    words = verify._words(3, 5)
+    bad = []
+    for w in words:
+        t = Tableau()
+        for g in w:
+            t, trace = insert_with_trace(t, g)
+            if any(trace[i + 1][1] > trace[i][1] for i in range(len(trace) - 1)):
+                bad.append((w, trace))
+        if not t.is_valid():
+            bad.append(w)
+    label = "insertion stays weakly left and valid"
+    assert checks[label] == (len(words), bad)
+    assert f"FAIL {label}: {len(bad)}/{len(words)} items failed" in rep.lines
+    # (2,) reports one step; (2, 1) reports both, its prefix's first
+    assert bad[0] == ((2,), ((1, 0), (0, 99)))
+    assert [trace for w, trace in bad if w == (2, 1)] == [((1, 0), (0, 99)), ((1, 0), (2, 0), (0, 99))]
 
 
 def test_verify_core_rank2(capsys):
@@ -521,6 +561,21 @@ def run_in_one_and_two_processes(capsys, monkeypatch, *argv):
     return results
 
 
+@pytest.mark.parametrize("argv", [
+    # eps goes to the worker and generator 1 stays here
+    ("--rank", "1", "--max-len", "4", "all"),
+    # one suite, split by generator: eps, 2 and 4 go to the worker
+    ("--rank", "4", "multipliers"),
+])
+def test_the_generators_split_reads_as_in_one_process(capsys, monkeypatch, argv):
+    (serial, serial_forks), (split, split_forks) = run_in_one_and_two_processes(
+        capsys, monkeypatch, "verify", *argv
+    )
+    assert (serial_forks, split_forks) == (0, 1)
+    assert serial == split
+    assert split[0] == 0 and split[1].endswith("PASS\n")
+
+
 def test_verify_all_reads_the_same_in_one_process_and_in_two(capsys, monkeypatch):
     (serial, serial_forks), (split, split_forks) = run_in_one_and_two_processes(
         capsys, monkeypatch, "verify", "all"
@@ -565,6 +620,19 @@ def test_a_failure_in_the_worker_reads_as_in_one_process(capsys, monkeypatch):
     assert "  FAILURE columns=lnds and rows=lds: 1 failures, first: (2, 1)\n" in out
     assert out.endswith("FAIL\n")
 
+    # generator 2, which the worker checks, gets the right multiplier of 3
+    monkeypatch.undo()
+    right_multiplier = multipliers.right_multiplier
+    monkeypatch.setattr(multipliers, "right_multiplier", lambda n, gamma: right_multiplier(n, gamma + (gamma == 2)))
+    (serial, _), (split, forks) = run_in_one_and_two_processes(capsys, monkeypatch, "verify", "all")
+    assert forks == 1
+    assert serial == split
+    code, out, err = split
+    assert code == 1 and err == ""
+    assert "  FAIL column multipliers match normalization: 259/1554 items failed\n" in out
+    assert "  FAILURE pair automata agree with the product oracle: 560 failures, first: ('right', 'R', 2, (), (2,))\n" in out
+    assert out.endswith("FAIL\n")
+
 
 class Unpicklable(PlacticError):
     def __reduce__(self):
@@ -579,13 +647,32 @@ class Unpicklable(PlacticError):
     {"multipliers": ParseError("multipliers refused")},
     # an exception that does not pickle: the worker's suites run again here
     {"rewriting": Unpicklable("rewriting broke"), "multipliers": ParseError("multipliers refused")},
+    # a generator the worker checks raises beside `automata`, which comes first
+    {"automata": ResourceLimit("automata gave up"), 2: ParseError("generator 2 refused")},
+    # two generators raise, one on each side: the earlier one wins
+    {1: ResourceLimit("generator 1 gave up"), 2: ParseError("generator 2 refused")},
+    {None: ParseError("eps refused"), 1: ResourceLimit("generator 1 gave up")},
 ])
 def test_the_earliest_exception_in_suite_order_wins(capsys, monkeypatch, raising):
+    # a suite name replaces the suite; a generator (None for eps) raises
+    # when the multipliers suite builds its pair automata
+    generators = {}
     for name, exc in raising.items():
         def suite(cfg, exc=exc):
             raise exc
 
-        monkeypatch.setitem(verify.SUITES, name, suite)
+        if name in verify.SUITES:
+            monkeypatch.setitem(verify.SUITES, name, suite)
+        else:
+            generators[name] = exc
+    real = multipliers.multiplier_pair_automata
+
+    def pair_automata(n, gamma, lifted=None):
+        if gamma in generators:
+            raise generators[gamma]
+        return real(n, gamma, lifted)
+
+    monkeypatch.setattr(multipliers, "multiplier_pair_automata", pair_automata)
     (serial, _), (split, forks) = run_in_one_and_two_processes(capsys, monkeypatch, "verify", "all")
     assert forks == 1
     assert serial == split
@@ -682,3 +769,29 @@ def test_benchmark_tracer_installs():
         text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_a_traced_verify_run_sees_every_counted_function():
+    # the benchmark's traced `verify all` records only the calling process,
+    # so on two cores that process must still reach every layer and every
+    # counted function of the workload; the tracer rebinds the package's
+    # functions, so it runs in a child process
+    code = (
+        "import contextlib, io, os, plactic.cli\n"
+        "from tracer import Tracer\n"
+        "from workloads import Verify\n"
+        "tracer = Tracer('t')\n"
+        "tracer.install()\n"
+        "os.cpu_count = lambda: 2\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert plactic.cli.main(['verify', 'all']) == 0\n"
+        "print(tracer.idle(Verify.layers, Verify.counted))\n"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
