@@ -435,9 +435,9 @@ SUITES = {
 # the largest rank each suite runs at: the rewriting suite checks the critical
 # pairs of every rank up to the one given, yielded one at a time (623,010 at
 # rank 7), and the multipliers suite synchronizes every pair automaton of its
-# rank (all 28 at rank 6 over 6 cells: about 6–6.5 s on 2 cores, with peaks of
-# 51 MB in the first process and 44 MB in the worker)
-RANK_CAPS = {"rewriting": 7, "multipliers": 6}
+# rank (all 32 at rank 7 over 6 cells: about 11–18 s on 2 cores, with peaks of
+# 110 MB in the first process and 102 MB in the worker)
+RANK_CAPS = {"rewriting": 7, "multipliers": 7}
 
 
 # the suites that sweep every word up to --max-len letters
@@ -450,14 +450,10 @@ def run(suite: str, cfg: Config) -> list[Report]:
     RankError when the rank exceeds the cap of one of the suites, and
     ParseError when a word sweep is too large, before any suite runs.  The
     units of work are the suites, except that `multipliers` gives one unit
-    per generator it checks and one for its bijection check.  On two or
-    more cores, in a process with one thread and where `os.fork` exists, a
-    forked worker runs the first half of the suites and every other
-    generator, from the first, while this process runs the rest; otherwise,
-    or when the worker would have nothing to run, all run here, one after
-    the other.  Either way the reports are the same, and a raising unit
-    raises the exception of the earliest one in suite order, and within
-    `multipliers` in generator order.
+    per generator it checks and one for its bijection check, and
+    `_results` runs them, in one process or two.  Either way the reports
+    are the same, and a raising unit raises the exception of the earliest
+    one in suite order, and within `multipliers` in generator order.
     """
     names = list(SUITES) if suite == "all" else [suite]
     for name in names:
@@ -466,97 +462,100 @@ def run(suite: str, cfg: Config) -> list[Report]:
             raise RankError(f"verify {name} runs at --rank {cap} at most, got {cfg.rank}")
     if any(name in SWEEPS for name in names):
         _check_sweep(cfg.rank, cfg.max_len)
-    # a fork copies only the calling thread, so a process with others runs
-    # every suite here
-    threading = sys.modules.get("threading")
-    forks = (
-        hasattr(os, "fork")
-        and (os.cpu_count() or 1) >= 2
-        and (threading is None or threading.active_count() == 1)
-    )
-    units = [(name, None) for name in names]
-    worker = []
-    if forks:
-        # a suite put in the place of verify_multipliers runs whole
-        if SUITES["multipliers"] is verify_multipliers:
-            units = [(name, part) for name in names
-                     for part in (_multiplier_parts(cfg) if name == "multipliers" else [None])]
-        generators = [unit for unit in units if unit[1] is not None and unit[1][3] != BIJECTION]
-        # this process keeps `automata` and generator 1, and with them every
-        # function that a tracer wrapping the package's functions counts
-        worker = [unit for unit in units if unit[0] in names[: len(names) // 2] or unit in generators[::2]]
-    here = [unit for unit in units if unit not in worker]
-    results = _in_two_processes(worker, here, cfg) if worker else dict(zip(here, _results(here, cfg)))
-    # each side stops at its first exception, so the first exception in
-    # unit order comes before any unit left unrun
-    for unit in units:
-        if isinstance(results[unit], Exception):
-            raise results[unit]
+    units = [(name, part) for name in names
+             for part in (_multiplier_parts(cfg) if name == "multipliers" else [None])]
+    results = _results(units, cfg)
+    for i in range(len(units)):
+        if isinstance(results[i], Exception):
+            raise results[i]
     reports = []
     for name in names:
-        parts = [part for n, part in units if n == name]
-        if parts == [None]:
-            reports.append(results[name, None])
-        else:
-            reports.append(_multipliers_report([results[name, part] for part in parts]))
+        done = [results[i] for i, unit in enumerate(units) if unit[0] == name]
+        reports.append(_multipliers_report(done) if name == "multipliers" else done[0])
     return reports
 
 
-def _results(units: list[tuple], cfg: Config) -> list:
-    """The result of each unit in turn, a suite's report or a part's
-    record, up to the first one that raises, whose exception ends the
-    list."""
-    sweeps: dict = {}
-    results = []
-    try:
-        for name, part in units:
-            results.append(SUITES[name](cfg) if part is None else _multiplier_part(part, sweeps))
-    except Exception as exc:
-        results.append(exc)
-    return results
+def _results(units: list[tuple], cfg: Config) -> dict:
+    """The result of each unit that ran, by index: a suite's report, a
+    part's record or the exception it raised.  Every unit before the
+    earliest exception in unit order has run.
 
-
-def _in_two_processes(first: list[tuple], second: list[tuple], cfg: Config) -> dict:
-    """The `_results` of the units `first`, from one forked worker, and of
-    the units `second`, run in this process meanwhile, by unit.
+    With more than one unit, on two or more cores, in a process with one
+    thread and where `os.fork` exists, a forked worker and this process
+    claim the units in unit order from one queue, a pipe of one byte per
+    unit index read one byte a claim (a one-byte read from a pipe is
+    atomic).  This process first runs `automata` and every generator-1
+    part, and with them every function that a tracer wrapping the
+    package's functions counts.  Otherwise, or when the fork fails, this
+    process claims every unit, in unit order.
 
     The worker sends its results pickled through a pipe and leaves through
     `os._exit`: it flushes no stream, runs no exit handler and never returns
     to the caller.  This process kills the worker if it still runs and
-    reaps it, whatever happens here.  When no process can be started, or the
-    worker sends nothing that unpickles (its exception does not pickle, or
-    it was killed), its units run here.
+    reaps it, whatever happens here.  When the worker sends nothing that
+    unpickles (its exception does not pickle, or it was killed), the units
+    missing from this process's results run again here.
     """
+    # a fork copies only the calling thread
+    threading = sys.modules.get("threading")
+    if not (hasattr(os, "fork") and len(units) > 1 and (os.cpu_count() or 1) >= 2
+            and (threading is None or threading.active_count() == 1)):
+        return _claimed(units, cfg, range(len(units)))
     # imported here, so that importing the package loads neither
     import pickle
     import signal
 
+    first = [i for i, (name, part) in enumerate(units) if name == "automata" or part and part[3] == 1]
+    queue, write = os.pipe()
+    os.write(write, bytes(range(len(units))))
+    os.close(write)
+    read, write = os.pipe()
     sys.stdout.flush()
     sys.stderr.flush()
-    read, write = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        os.close(read)
-        os.close(write)
-        return dict(zip(first + second, _results(first + second, cfg)))
+        pid, first = None, []
+    claims = (byte[0] for byte in iter(lambda: os.read(queue, 1), b"") if byte[0] not in first)
     if pid == 0:
         try:
             os.close(read)
             with open(write, "wb") as pipe:
-                pipe.write(pickle.dumps(_results(first, cfg)))
+                pipe.write(pickle.dumps(_claimed(units, cfg, claims)))
         finally:
             os._exit(0)
     os.close(write)
     try:
         with open(read, "rb") as pipe:
-            mine = _results(second, cfg)
+            mine = _claimed(units, cfg, itertools.chain(first, claims))
             sent = pipe.read()
     finally:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+        os.close(queue)
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     try:
         theirs = pickle.loads(sent)
     except (EOFError, pickle.UnpicklingError):
-        theirs = _results(first, cfg)
-    return dict(zip(first, theirs)) | dict(zip(second, mine))
+        stop = min((i for i, result in mine.items() if isinstance(result, Exception)), default=len(units))
+        theirs = _claimed(units, cfg, (i for i in range(stop) if i not in mine))
+    return theirs | mine
+
+
+def _claimed(units: list[tuple], cfg: Config, order) -> dict:
+    """The result of each unit of `order` in turn, by index: a suite's
+    report, a part's record or the exception it raised.  After the first
+    exception only earlier units run; later claims are drained unrun."""
+    sweeps: dict = {}
+    results = {}
+    stop = len(units)
+    for i in order:
+        if i > stop:
+            continue
+        name, part = units[i]
+        try:
+            results[i] = SUITES[name](cfg) if part is None else _multiplier_part(part, sweeps)
+        except Exception as exc:
+            results[i] = exc
+            stop = i
+    return results

@@ -269,7 +269,7 @@ def test_verify_core_rank2(capsys):
 
 
 @pytest.mark.parametrize(
-    "suite, rank, cap", [("multipliers", 7, 6), ("rewriting", 8, 7), ("all", 7, 6)]
+    "suite, rank, cap", [("multipliers", 8, 7), ("rewriting", 8, 7), ("all", 8, 7)]
 )
 def test_verify_refuses_a_rank_above_a_suite_cap(capsys, suite, rank, cap):
     code, out, err = run(capsys, "verify", "--rank", str(rank), "--max-len", "1", suite)
@@ -562,9 +562,9 @@ def run_in_one_and_two_processes(capsys, monkeypatch, *argv):
 
 
 @pytest.mark.parametrize("argv", [
-    # eps goes to the worker and generator 1 stays here
+    # generator 1 runs here and eps is queued
     ("--rank", "1", "--max-len", "4", "all"),
-    # one suite, split by generator: eps, 2 and 4 go to the worker
+    # one suite, split by generator: eps, 2, 3, 4 and the bijection are queued
     ("--rank", "4", "multipliers"),
 ])
 def test_the_generators_split_reads_as_in_one_process(capsys, monkeypatch, argv):
@@ -574,6 +574,99 @@ def test_the_generators_split_reads_as_in_one_process(capsys, monkeypatch, argv)
     assert (serial_forks, split_forks) == (0, 1)
     assert serial == split
     assert split[0] == 0 and split[1].endswith("PASS\n")
+
+
+@pytest.mark.parametrize("suite, cfg", [
+    ("all", verify.Config(rank=1, max_len=4)),
+    ("multipliers", verify.Config(rank=4)),
+])
+def test_each_unit_runs_once_and_this_process_runs_automata_and_generator_1(monkeypatch, tmp_path, suite, cfg):
+    # each unit appends [pid, name, part] to one log as it starts.  A failed
+    # fork leaves every unit to this process, in unit order; with two CPUs
+    # each unit runs once, in one of the two processes, each process claims
+    # in unit order, and this one runs `automata` and every generator-1 part
+    # before it claims any
+    log = tmp_path / "units"
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def logged(name, part):
+        os.write(fd, (json.dumps([os.getpid(), name, part]) + "\n").encode())
+
+    for name, suite_fn in list(verify.SUITES.items()):
+        def logged_suite(cfg, name=name, suite_fn=suite_fn):
+            logged(name, None)
+            return suite_fn(cfg)
+
+        monkeypatch.setitem(verify.SUITES, name, logged_suite)
+    real_part = verify._multiplier_part
+
+    def logged_part(part, sweeps):
+        logged("multipliers", part)
+        return real_part(part, sweeps)
+
+    real_fork = os.fork
+    workers = []
+
+    def fork():
+        workers.append(real_fork())
+        return workers[-1]
+
+    def failed_fork():
+        raise BlockingIOError("no process")
+
+    monkeypatch.setattr(verify, "_multiplier_part", logged_part)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", failed_fork)
+    try:
+        alone = verify.run(suite, cfg)
+        in_order = [json.loads(line) for line in log.read_text().splitlines()]
+        os.truncate(fd, 0)
+        monkeypatch.setattr(os, "fork", fork)
+        assert verify.run(suite, cfg) == alone
+    finally:
+        os.close(fd)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+    names = list(verify.SUITES) if suite == "all" else [suite]
+    units = json.loads(json.dumps([[name, part] for name in names
+                                   for part in (verify._multiplier_parts(cfg) if name == "multipliers" else [None])]))
+    assert in_order == [[os.getpid(), *unit] for unit in units]
+    ran = [json.loads(line) for line in log.read_text().splitlines()]
+    assert len(workers) == 1 and {pid for pid, *_ in ran} <= {os.getpid(), *workers}
+    assert sorted(json.dumps(unit) for _, *unit in ran) == sorted(map(json.dumps, units))
+    first = [unit for unit in units if unit[0] == "automata" or unit[1] and unit[1][3] == 1]
+    assert [unit for pid, *unit in ran if pid == os.getpid()][: len(first)] == first
+    for pid in (os.getpid(), *workers):
+        claimed = [units.index(unit) for p, *unit in ran if p == pid and unit not in first]
+        assert claimed == sorted(claimed)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_verify_leaves_no_file_descriptor_open(monkeypatch):
+    # on success, with a raising unit and with a failed fork, this process
+    # closes every pipe it opened
+    def raising(cfg):
+        raise ResourceLimit("rewriting gave up")
+
+    def failed_fork():
+        raise BlockingIOError("no process")
+
+    cfg = verify.Config(rank=1, max_len=3)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    before = sorted(os.listdir("/proc/self/fd"))
+    assert len(verify.run("all", cfg)) == len(verify.SUITES)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    with monkeypatch.context() as m:
+        m.setitem(verify.SUITES, "rewriting", raising)
+        with pytest.raises(ResourceLimit):
+            verify.run("all", cfg)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    monkeypatch.setattr(os, "fork", failed_fork)
+    assert len(verify.run("all", cfg)) == len(verify.SUITES)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_verify_all_reads_the_same_in_one_process_and_in_two(capsys, monkeypatch):
@@ -643,8 +736,8 @@ class Unpicklable(PlacticError):
     # worker and parent both raise: the worker's suite comes first
     {"core": ResourceLimit("core gave up"), "multipliers": ParseError("multipliers refused")},
     {"rewriting": ViolationFound(((2, 1), ((21,),))), "automata": ResourceLimit("automata gave up")},
-    # the parent alone raises
-    {"multipliers": ParseError("multipliers refused")},
+    # a queued generator alone raises
+    {3: ParseError("generator 3 refused")},
     # an exception that does not pickle: the worker's suites run again here
     {"rewriting": Unpicklable("rewriting broke"), "multipliers": ParseError("multipliers refused")},
     # a generator the worker checks raises beside `automata`, which comes first
