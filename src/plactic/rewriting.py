@@ -9,6 +9,7 @@ as a binomial basis of the free algebra on the column generators.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
@@ -46,7 +47,8 @@ def word_less(u: CWord, v: CWord) -> bool:
         return len(u) < len(v)
     for a, b in zip(u, v):
         if a != b:
-            return column_key(a) < column_key(b)
+            # column_key(a) < column_key(b), without building the keys
+            return len(a) > len(b) if len(a) != len(b) else a < b
     return False
 
 
@@ -90,10 +92,15 @@ def _letter_set(c: Column) -> int:
 
 def _match(a: Column, free: int) -> tuple[int, int]:
     """The bracket matching of Lascoux and Schützenberger ("Le monoïde
-    plaxique", 1981) on the letters of a, largest first, and the letter set
-    of b: each letter x of a takes the smallest letter of b still free that
-    is at least x, the lowest set bit of `free >> x << x`.  Returns the
-    letter sets taken and still free."""
+    plaxique", 1981) of the letters of a against the letter set `free` of
+    b.  Returns the letter sets of b taken and still free.
+
+    The letters of a are matched one at a time, largest first.  One step,
+    on a letter x: x takes the smallest letter of b still free that is at
+    least x, that is, the step clears the lowest set bit of
+    `free >> x << x` from `free`, and clears nothing if that is 0.  So the
+    free set after a is the free set after a[:-1] with one step on a's last
+    letter, and the taken set is the rest of b."""
     taken = 0
     for x in a:
         above = free >> x << x
@@ -128,24 +135,37 @@ def rule(a: Column, b: Column) -> Optional[tuple[Column, ...]]:
 
 
 def generate_rules(n: int) -> RewritingSystem:
-    """One rule per ordered incomparable pair of columns, in generator order:
-    `_match` finds the pairs, those with a letter of b left free, and their
-    right sides, as `rule` does.  Each column's letter set is computed once,
-    and the right sides are made of the rank's own column objects.
-    ResourceLimit when the table would exceed PAIR_BUDGET entries."""
+    """One rule per ordered incomparable pair of columns, in generator order,
+    each with the right side `rule` gives; the right sides are made of the
+    rank's own column objects.  ResourceLimit when the table would exceed
+    PAIR_BUDGET entries.
+
+    The matching of a against every column b is shared with a's prefix: the
+    columns are swept shortest first, so a[:-1] comes before a, and the free
+    set of each b after a is its free set after a[:-1] with one step of
+    `_match` on a's last letter.  The free sets of a are kept in one array,
+    4 bytes a column b.  A second pass lists, in generator order, the pairs
+    that leave a letter of b free: the free letters join a in the left
+    column, the taken ones, the rest of b, make the right column."""
     check_rank(n)
     count = (2**n - 1) ** 2
     if count > PAIR_BUDGET:
         raise ResourceLimit(f"rank {n} needs {count} rule-table entries (budget {PAIR_BUDGET})")
-    columns = [(c, _letter_set(c)) for c in sorted(iter_columns(n), key=column_key)]
-    column_of = {bits: c for c, bits in columns}
+    columns = list(iter_columns(n))
+    order = sorted(columns, key=column_key)
+    bits = [_letter_set(c) for c in order]
+    column_of = dict(zip(bits, order))
+    # free[a][j]: the letters of order[j] left free by the matching of a
+    free = {(): array("I", bits)}
+    for a in columns:
+        x = a[-1]
+        free[a] = array("I", [f ^ ((above := f >> x << x) & -above) for f in free[a[:-1]]])
     rules = {}
-    for a, a_bits in columns:
-        for b, b_bits in columns:
-            taken, free = _match(a, b_bits)
-            if free:
-                left = column_of[a_bits | free]
-                rules[a, b] = (left, column_of[taken]) if taken else (left,)
+    for a, a_bits in zip(order, bits):
+        for b, b_bits, f in zip(order, bits, free[a]):
+            if f:
+                left = column_of[a_bits | f]
+                rules[a, b] = (left, column_of[b_bits ^ f]) if f != b_bits else (left,)
     return RewritingSystem(n, rules)
 
 

@@ -734,12 +734,12 @@ class Unpicklable(PlacticError):
 
 @pytest.mark.parametrize("raising", [
     # worker and parent both raise: the worker's suite comes first
-    {"core": ResourceLimit("core gave up"), "multipliers": ParseError("multipliers refused")},
+    {"core": ResourceLimit("core gave up"), 1: ParseError("generator 1 refused")},
     {"rewriting": ViolationFound(((2, 1), ((21,),))), "automata": ResourceLimit("automata gave up")},
     # a queued generator alone raises
     {3: ParseError("generator 3 refused")},
     # an exception that does not pickle: the worker's suites run again here
-    {"rewriting": Unpicklable("rewriting broke"), "multipliers": ParseError("multipliers refused")},
+    {"rewriting": Unpicklable("rewriting broke"), 1: ParseError("generator 1 refused")},
     # a generator the worker checks raises beside `automata`, which comes first
     {"automata": ResourceLimit("automata gave up"), 2: ParseError("generator 2 refused")},
     # two generators raise, one on each side: the earlier one wins
