@@ -759,8 +759,9 @@ def _number_states(m) -> dict:
     succ: dict[State, list[State]] = {}
     for tr in m.transitions:
         succ.setdefault(tr[0], []).append(tr[-1])
-    reached = _sweep(sorted(m.initial, key=repr), lambda q: sorted(succ.get(q, ()), key=repr))
-    rest = sorted(m.states - reached.keys(), key=repr)
+    key = {q: repr(q) for q in m.states}.__getitem__
+    reached = _sweep(sorted(m.initial, key=key), lambda q: sorted(succ.get(q, ()), key=key))
+    rest = sorted(m.states - reached.keys(), key=key)
     return {q: i for i, q in enumerate([*reached, *rest])}
 
 
@@ -772,31 +773,36 @@ def _sym_label(sym) -> str:
     return str(sym)
 
 
+def _labels(alphabet) -> dict:
+    """The label of each symbol of alphabet, and of None (epsilon)."""
+    return {sym: _sym_label(sym) for sym in [None, *alphabet]}
+
+
 def nfa_to_json(a: Nfa) -> dict:
     num = _number_states(a)
+    label = _labels(a.alphabet)
     return {
         "type": "nfa",
         "states": len(num),
-        "alphabet": sorted(_sym_label(s) for s in a.alphabet),
+        "alphabet": sorted(label[s] for s in a.alphabet),
         "initial": sorted(num[q] for q in a.initial),
         "accepting": sorted(num[q] for q in a.accepting),
-        "transitions": sorted(
-            [num[src], _sym_label(sym), num[dst]] for src, sym, dst in a.transitions
-        ),
+        "transitions": sorted([num[src], label[sym], num[dst]] for src, sym, dst in a.transitions),
     }
 
 
 def transducer_to_json(t: Transducer) -> dict:
     num = _number_states(t)
+    label = _labels(t.in_alphabet | t.out_alphabet)
     return {
         "type": "transducer",
         "states": len(num),
-        "input_alphabet": sorted(_sym_label(s) for s in t.in_alphabet),
-        "output_alphabet": sorted(_sym_label(s) for s in t.out_alphabet),
+        "input_alphabet": sorted(label[s] for s in t.in_alphabet),
+        "output_alphabet": sorted(label[s] for s in t.out_alphabet),
         "initial": sorted(num[q] for q in t.initial),
         "accepting": sorted(num[q] for q in t.accepting),
         "transitions": sorted(
-            [num[src], _sym_label(sym), [_sym_label(y) for y in out], num[dst]]
+            [num[src], label[sym], [label[y] for y in out], num[dst]]
             for src, sym, out, dst in t.transitions
         ),
     }

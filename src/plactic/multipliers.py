@@ -7,15 +7,17 @@ built from the rewriting rules: right multiplication is a single right-to-left
 pass carrying one pending column, and left multiplication a single
 left-to-right pass carrying one pending letter.
 Each is lifted to letters in one spelling pass, `lift`, which reads a column
-letter by letter before firing the column multiplier's arc on it and writes the
-output columns letter by letter.  Within a column the lift keys a state by
-what it can still do, the arcs that can finish the column, so states that
-agree on that are one state.  Synchronizing both padded encodings of the
-lift yields the four multiplier pair automata per generator.  The column
-multipliers are built from their reachable states by `automata._explore`:
-each construction gives only the arcs that leave a state.  They are trim:
-every carry state can read its last column again and every pend state has
-an epsilon arc to "final", so every state can also reach acceptance.
+letter by letter and fires the column multiplier's arc on its last letter,
+writing the output columns letter by letter on that arc; the only epsilon
+arcs of a lift are the column multiplier's own.  Within a column the lift
+keys a state by what it can still do, the arcs whose column goes on past
+the letters read, so states that agree on that are one state.
+Synchronizing both padded encodings of the lift yields the four multiplier
+pair automata per generator.  The column multipliers are built from their
+reachable states by `automata._explore`: each construction gives only the
+arcs that leave a state.  They are trim: every carry state can read its
+last column again and every pend state has an epsilon arc to "final", so
+every state can also reach acceptance.
 
 A column multiplier reads every column of its rank, or only the `columns`
 it is given.  A word of L factors into a word of K only by its maximal
@@ -167,22 +169,24 @@ def lift(t: Transducer, n: int) -> Transducer:
     the word into columns.
 
     State (r, ()) is at state r of t between columns, where t's own epsilon
-    arcs fire.  Within a column, after the strictly decreasing letters p,
-    a state is keyed by its residual arcs: the arcs of r whose column
-    begins with p, as (rest of the column, spelled output, target) triples.
-    So states that can finish the column in the same ways are one state.  A
-    letter reads on toward the columns that begin so, and an epsilon arc
-    closes the column when its rest is empty, emitting the output columns
-    letter by letter.  On a trim t the lift is trim: every state built is
-    reached, and every state can reach acceptance.
+    arcs fire; they are the lift's only epsilon arcs.  An arc of t that
+    reads a column is spelled as a chain of letters whose last letter
+    emits the arc's output columns, letter by letter, and goes straight to
+    (r2, ()) for the arc's target r2.  Within a column, after the strictly
+    decreasing letters p, a state is keyed by its residual arcs: the arcs
+    of r whose column begins with p and goes on past it, as (rest of the
+    column, spelled output, target) triples.  So states that can finish
+    the column in the same ways are one state, and none is made where no
+    column goes on past p.  On a trim t the lift is trim: every state
+    built is reached, and every state can reach acceptance.
     """
     residual: dict = {}
     transitions = []
     for r, sym, out, r2 in t.transitions:
         spelled = tuple(x for col in out for x in col)
-        if sym is None:
-            transitions.append(((r, ()), None, spelled, (r2, ())))
-        for k in range(1, len(sym or ()) + 1):
+        if sym is None or len(sym) == 1:
+            transitions.append(((r, ()), None if sym is None else sym[0], spelled, (r2, ())))
+        for k in range(1, len(sym or ())):
             residual.setdefault((r, sym[:k]), set()).add((sym[k:], spelled, r2))
     key = {rp: frozenset(arcs) for rp, arcs in residual.items()}
     # short names, numbered by the first (r, p) of each residual in repr
@@ -195,7 +199,7 @@ def lift(t: Transducer, n: int) -> Transducer:
         src = name[key[r, p[:-1]]] if len(p) > 1 else (r, ())
         transitions.append((src, p[-1], (), name[arcs]))
     for arcs, mid in name.items():
-        transitions += [(mid, None, out, (r2, ())) for rest, out, r2 in arcs if not rest]
+        transitions += [(mid, rest[0], out, (r2, ())) for rest, out, r2 in arcs if len(rest) == 1]
     letters = range(1, n + 1)
     states = {(r, ()) for r in t.states} | set(name.values())
     initial = {(r, ()) for r in t.initial}

@@ -319,13 +319,13 @@ def test_rule_table_exports_are_pinned(tmp_path, capsys, command, rank, fmt):
 # sha256 of the stdout of `machines --rank 3` for each generator and format
 MACHINES_SHA256 = {
     ("eps", "json"): "807eaefd88ae7d3a45a9550b536a0adbf77b5156d4c239aef33d1cfc87928af9",
-    ("1", "json"): "5fb59b2e7ecead36c73051c0903ecb03183aac81f8d3ca80fc80a1e4803bbdbb",
-    ("2", "json"): "39abee133a9d07170e5dde56a724bc044f7a413d623086fa15e603811fba91e5",
-    ("3", "json"): "2c10a5e693bffa5907405a40e7c5edc402a50355f945481f3fc7d5f239f2d4b8",
+    ("1", "json"): "2f71e0df091e3e58fd734768e4c6385ada313433e3bba140a160a5b208c18789",
+    ("2", "json"): "579f60291c5c5b5963a7e55dd16d31f0ca0806ead4ff819161a774acd0b880df",
+    ("3", "json"): "4f1897736c20c89e4822221ea7d2acfb7ce2e7289d5986bd809df4a76f81967f",
     ("eps", "dot"): "65abb7dfbb056995d212d384a637587874f6f6f56dcd9dd200772ce5e6d770ec",
-    ("1", "dot"): "f59b829e4c4760f2b5ec29a510bafc556ecd237634a6f6cf57f8b3fff8ffffb6",
-    ("2", "dot"): "31572333cdab4b2f5fdef233e2c88c4523d2d0c36cf095477009e077e9f2bc27",
-    ("3", "dot"): "5c5ca9d9bb79b47be1b6aedc5c52836746a9b78ffdd521ee9f7c002dca44e0a3",
+    ("1", "dot"): "7a5a89aacef8ffcff4fbe2dd85953ea8d1c692751779d53b52d895e654df5c75",
+    ("2", "dot"): "8307bdc5ff1bd5c3b4726c983015a563658bff9af687b54745c94211aba6af31",
+    ("3", "dot"): "2e00c7d1a9e63c094d6d19dc0a919da0ecd2246a2972dc75316566c7dadc6e7e",
 }
 
 

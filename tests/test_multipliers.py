@@ -49,23 +49,23 @@ MINIMAL_STATES = {
 # states of the column right multiplier and of its lift, by rank and gamma;
 # they guard the size of the carry construction
 RIGHT_MULTIPLIER_STATES = {
-    2: {1: (6, 13), 2: (5, 9)},
-    3: {1: (13, 37), 2: (11, 28), 3: (9, 21)},
+    2: {1: (6, 7), 2: (5, 6)},
+    3: {1: (13, 22), 2: (11, 16), 3: (9, 14)},
 }
 
 # the same for the column left multiplier and its lift
 LEFT_MULTIPLIER_STATES = {
-    2: {1: (5, 10), 2: (5, 10)},
-    3: {1: (9, 25), 2: (10, 30), 3: (11, 31)},
+    2: {1: (5, 6), 2: (5, 6)},
+    3: {1: (9, 14), 2: (10, 17), 3: (11, 19)},
 }
 
 # (states, transitions) of the rank-2 multipliers by two-letter words,
 # composed from the lifted multipliers by `compose_relations`
 GENERAL_MULTIPLIER_SIZES = {
-    ((1, 2), "right"): (84, 126),
-    ((1, 2), "left"): (63, 93),
-    ((2, 1), "right"): (82, 123),
-    ((2, 1), "left"): (45, 64),
+    ((1, 2), "right"): (37, 48),
+    ((1, 2), "left"): (24, 31),
+    ((2, 1), "right"): (28, 36),
+    ((2, 1), "left"): (19, 25),
 }
 
 # sha256 over the JSON export of every rank-2 and rank-3 pair DFA; the DFAs
@@ -80,7 +80,7 @@ PAIR_DFA_RANK5_SHA256 = "e30f1eaac2f63eb81679acf46fd80c64da2160695218f1293a722a0
 
 # configurations `synchronize` builds for the 16 rank-3 pair automata, and
 # how many of them can reach acceptance
-RANK3_CONFIGURATIONS = (766, 692)
+RANK3_CONFIGURATIONS = (420, 405)
 
 
 def k_words(rank, max_cells):
@@ -265,6 +265,23 @@ def test_column_multipliers_and_lifts_are_trim():
             for t in (right_multiplier(rank, gamma), left_multiplier(rank, gamma)):
                 for machine in (t, lift(t, rank)):
                     assert trim(machine).states == machine.states, (rank, gamma)
+
+
+def test_lifts_close_each_column_on_its_last_letter():
+    # a column's last letter emits the column's output, so the lift's only
+    # epsilon arcs are the column machine's own, spelled, and a mid-column
+    # state is made only where a longer column reads on
+    for rank in (2, 3, 4, 5):
+        for gamma in range(1, rank + 1):
+            for t in (right_multiplier(rank, gamma), left_multiplier(rank, gamma)):
+                lifted = lift(t, rank)
+                own = {((r, ()), None, sum(out, ()), (r2, ())) for r, sym, out, r2 in t.transitions if sym is None}
+                assert {tr for tr in lifted.transitions if tr[1] is None} == own, (rank, gamma)
+                assert len(own) == sum(1 for tr in t.transitions if tr[1] is None), (rank, gamma)
+                for q in lifted.states:
+                    if q[0] == "mid":
+                        syms = [sym for sym, _, _ in lifted.arcs_from(q)]
+                        assert syms and None not in syms, (rank, gamma, q)
 
 
 def test_lifted_relation_is_functional_on_l():
@@ -556,12 +573,13 @@ def test_synchronize_builds_few_dead_configurations(monkeypatch):
 
 
 def test_lag_bound_of_lifted_multipliers():
-    # one column of letters, plus one for the product's extra letter; an R
-    # run that reads its $ before the final epsilon flush holds all n + 1
+    # a column's output comes with its last letter, so a run one letter
+    # short of a full column still writes the column and the product's
+    # extra letter but reads one letter: n letters of lag
     for rank in (2, 3, 4):
         for gamma in [None] + list(range(1, rank + 1)):
             for side in ("right", "left"):
-                expected = 0 if gamma is None else rank + 1
+                expected = 0 if gamma is None else rank
                 assert lifted_multiplier(rank, gamma, side)._prepared.bound == expected, (rank, gamma, side)
 
 
