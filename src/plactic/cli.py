@@ -179,9 +179,6 @@ def cmd_verify(args) -> int:
     if args.max_len < 0:
         raise ParseError(f"--max-len must be non-negative, got {args.max_len}")
     cfg = verify.Config(rank=args.rank, max_len=args.max_len, thorough=args.thorough)
-    if args.thorough:
-        cfg.rank = max(cfg.rank, 4)
-        cfg.max_len = max(cfg.max_len, 7)
     reports = verify.run(args.suite, cfg)
     failed = False
     for rep in reports:

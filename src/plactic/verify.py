@@ -9,8 +9,7 @@ from __future__ import annotations
 import itertools
 import os
 import sys
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from plactic import automata, multipliers, rewriting
 from plactic.core import (
@@ -85,62 +84,60 @@ def _words(rank: int, max_len: int):
 def verify_core(cfg: Config) -> Report:
     rep = Report("core")
     rank, max_len = cfg.rank, cfg.max_len
-    words = _words(rank, max_len)
-    tab = {w: tableau_of_word(w) for w in words}
+    _check_sweep(rank, max_len)
+    shape_bad, length_bad, insert_bad, reading_bad, class_bad = [], [], [], [], []
+    words = short_words = pairs = 0
 
-    bad = [w for w in words if tab[w].width != lnds(w) or tab[w].height != lds(w)]
-    rep.check("columns=lnds and rows=lds", len(words), bad)
+    def grown(level):
+        # the words one letter longer than level's, in `_words` order, each
+        # with its prefix's tableau and bad insertion steps grown by its last letter
+        for u, (s, traces) in level.items():
+            for a in range(1, rank + 1):
+                t, trace = insert_with_trace(s, a)
+                moves_right = any(trace[i + 1][1] > trace[i][1] for i in range(len(trace) - 1))
+                yield u + (a,), t, traces + (trace,) if moves_right else traces
 
-    bad = [w for w in words if len(tab[w].row_reading()) != len(w)]
-    rep.check("length preserved", len(words), bad)
+    # one length at a time, each kept only while the next length or the class checks read it
+    short = min(max_len, 5)
+    level: dict = {}
+    for length in range(max_len + 1):
+        todo = grown(level) if length else [((), Tableau(), ())]
+        level = {}
+        for w, t, traces in todo:
+            words += 1
+            if t.width != lnds(w) or t.height != lds(w):
+                shape_bad.append(w)
+            if len(t.row_reading()) != len(w):
+                length_bad.append(w)
+            insert_bad.extend((w, trace) for trace in traces)
+            if not t.is_valid():
+                insert_bad.append(w)
+            if length < max_len or length <= short:
+                level[w] = t, traces
+        if length <= short:
+            # readings are congruent to the word; over the pairs u < v of this
+            # length (word order is lexicographic) the v that break "equivalence
+            # iff equal tableaux" for u lie in u's class or tableau group, not both
+            classes = {w: knuth_class(w) for w in level}
+            same_tableau: dict[Tableau, set] = {}
+            for w, (t, _) in level.items():
+                same_tableau.setdefault(t, set()).add(w)
+                if t.column_reading() not in classes[w] or t.row_reading() not in classes[w]:
+                    reading_bad.append(w)
+            class_bad.extend(
+                (u, v)
+                for u, (t, _) in level.items()
+                for v in sorted(classes[u] ^ same_tableau[t])
+                if v > u
+            )
+            short_words += len(level)
+            pairs += len(level) * (len(level) - 1) // 2
 
-    # the sweep holds every prefix, one length after another: each word's
-    # tableau is its prefix's with the last letter inserted, and each word
-    # reports every bad step on its way, its prefix's first
-    bad = []
-    length, shorter, level = 0, {}, {}
-    for w in words:
-        if not w:
-            t, traces = Tableau(), ()
-        else:
-            if len(w) > length:
-                length, shorter, level = len(w), level, {}
-            t, traces = shorter[w[:-1]]
-            t, trace = insert_with_trace(t, w[-1])
-            if any(trace[i + 1][1] > trace[i][1] for i in range(len(trace) - 1)):
-                traces += (trace,)
-        level[w] = t, traces
-        bad.extend((w, trace) for trace in traces)
-        if not t.is_valid():
-            bad.append(w)
-    rep.check("insertion stays weakly left and valid", len(words), bad)
-
-    # readings are congruent to the word; classes coincide exactly with tableaux
-    short = [w for w in words if len(w) <= min(max_len, 5)]
-    classes = {w: knuth_class(w) for w in short}
-    bad = [
-        w
-        for w in short
-        if tab[w].column_reading() not in classes[w] or tab[w].row_reading() not in classes[w]
-    ]
-    rep.check("readings stay in the congruence class", len(short), bad)
-
-    # over every pair u < v of equal length, in word order: the v that break
-    # the check for u are the later words of the symmetric difference of
-    # u's class and u's tableau group (both hold only words of u's length),
-    # and every other pair agrees
-    index = {w: i for i, w in enumerate(short)}
-    same_tableau: dict[Tableau, set] = {}
-    for w in short:
-        same_tableau.setdefault(tab[w], set()).add(w)
-    bad = [
-        (u, v)
-        for u in short
-        for v in sorted(classes[u] ^ same_tableau[tab[u]], key=index.__getitem__)
-        if index[v] > index[u]
-    ]
-    lengths = Counter(map(len, short)).values()
-    rep.check("equivalence iff equal tableaux", sum(k * (k - 1) // 2 for k in lengths), bad)
+    rep.check("columns=lnds and rows=lds", words, shape_bad)
+    rep.check("length preserved", words, length_bad)
+    rep.check("insertion stays weakly left and valid", words, insert_bad)
+    rep.check("readings stay in the congruence class", short_words, reading_bad)
+    rep.check("equivalence iff equal tableaux", pairs, class_bad)
 
     # every triple (a, b, c) is decided by one set difference per comparable
     # pair: it breaks transitivity when c is below b but not below a
@@ -447,6 +444,7 @@ SWEEPS = ("core", "rewriting")
 def run(suite: str, cfg: Config) -> list[Report]:
     """The reports of one suite, or of all, in suite order.
 
+    Under --thorough the rank is at least 4 and the length at least 7.
     RankError when the rank exceeds the cap of one of the suites, and
     ParseError when a word sweep is too large, before any suite runs.  The
     units of work are the suites, except that `multipliers` gives one unit
@@ -456,6 +454,8 @@ def run(suite: str, cfg: Config) -> list[Report]:
     one in suite order, and within `multipliers` in generator order.
     """
     names = list(SUITES) if suite == "all" else [suite]
+    if cfg.thorough:
+        cfg = replace(cfg, rank=max(cfg.rank, 4), max_len=max(cfg.max_len, 7))
     for name in names:
         cap = RANK_CAPS.get(name)
         if cap is not None and cfg.rank > cap:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -14,7 +15,7 @@ import pytest
 
 from plactic import multipliers, rewriting, verify
 from plactic.cli import build_parser, main
-from plactic.core import Tableau, iter_tableaux, knuth_class
+from plactic.core import Tableau, iter_tableaux, knuth_class, tableau_of_word
 from plactic.errors import ParseError, PlacticError, ResourceLimit, ViolationFound
 
 import oracles
@@ -204,14 +205,22 @@ def test_verify_core_rank4_report_is_pinned(capsys):
     {(1, 1, 1): (2, 1, 3), (3, 1, 2, 2): (1, 2, 2, 3), (2, 2, 1): (1, 2, 1)},
 ])
 def test_equivalence_check_reports_what_every_pair_reports(monkeypatch, wrong):
-    # a few words get the tableau of another word; the check must report
-    # the count and first witness of its definition over all pairs u < v
-    # of equal length, in word order
-    real = verify.tableau_of_word
-    monkeypatch.setattr(verify, "tableau_of_word", lambda w: real(wrong.get(tuple(w), w)))
+    # inserting the last letter of a few words into their prefix's tableau
+    # gives the tableau of another word, and the longer words grow from that
+    # wrong tableau; the check must report the count and first witness of
+    # its definition over all pairs u < v of equal length, in word order,
+    # with each word's tableau folded from the empty one by that insertion
+    real = verify.insert_with_trace
+    planted = {(tableau_of_word(w[:-1]), w[-1]): tableau_of_word(v) for w, v in wrong.items()}
+
+    def insert_with_trace(t, g):
+        out, trace = real(t, g)
+        return planted.get((t, g), out), trace
+
+    monkeypatch.setattr(verify, "insert_with_trace", insert_with_trace)
     rep = verify.verify_core(verify.Config(rank=3, max_len=5))
     words = verify._words(3, 5)
-    tab = {w: real(wrong.get(w, w)) for w in words}
+    tab = {w: functools.reduce(lambda t, g: insert_with_trace(t, g)[0], w, Tableau()) for w in words}
     classes = {w: knuth_class(w) for w in words}
     pairs = [(u, v) for u, v in itertools.combinations(words, 2) if len(u) == len(v)]
     bad = [(u, v) for u, v in pairs if (v in classes[u]) != (tab[u] == tab[v])]
@@ -219,7 +228,45 @@ def test_equivalence_check_reports_what_every_pair_reports(monkeypatch, wrong):
     assert f"FAIL {label}: {len(bad)}/{len(pairs)} items failed" in rep.lines
     assert f"{label}: {len(bad)} failures, first: {bad[0]!r}" in rep.failures
     if len(wrong) == 1:
-        assert (len(bad), len(pairs), bad[0]) == (1, 33033, ((2, 3), (3, 2)))
+        # 23 and the 39 longer words that start with it take the tableaux of
+        # 32 and of the words that start with 32
+        assert (len(bad), len(pairs), bad[0]) == (156, 33033, ((2, 3), (3, 2)))
+
+
+def test_core_builds_each_tableau_once_from_its_prefix(monkeypatch):
+    # every word's tableau comes from one insertion into its prefix's, and
+    # none is built from scratch
+    def refuse(w):
+        raise AssertionError(f"tableau_of_word({w!r}) called")
+
+    calls = []
+    real = verify.insert_with_trace
+
+    def insert_with_trace(t, g):
+        calls.append(g)
+        return real(t, g)
+
+    monkeypatch.setattr(verify, "tableau_of_word", refuse)
+    monkeypatch.setattr(verify, "insert_with_trace", insert_with_trace)
+    rep = verify.verify_core(verify.Config())
+    assert rep.failures == []
+    assert len(calls) == len(verify._words(3, 6)) - 1 == 1092
+
+
+# sha256 of `verify core` reports at the edges of its length logic: the
+# empty word alone, a sweep shorter than the class checks, and lengths past them
+CORE_SHA256 = {
+    ("3", "0"): "9a6b03a313d6721276ff50d58201cdd49b1ebdf392506f9829e49a85aa35c267",
+    ("2", "3"): "6e6dda87e4e3136b0fa831cb5e3d4303d317596b4f8aec59a406c28883643df1",
+    ("3", "8"): "4c882531c4af167601e4decbfd7eeccf3e5c62bfd67e8c542da79a7817cc033a",
+}
+
+
+@pytest.mark.parametrize("rank, max_len", sorted(CORE_SHA256))
+def test_verify_core_reports_at_the_length_edges_are_pinned(capsys, rank, max_len):
+    code, out, _ = run(capsys, "verify", "--rank", rank, "--max-len", max_len, "core")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CORE_SHA256[rank, max_len]
 
 
 def test_insertion_check_reports_what_inserting_every_word_from_scratch_reports(monkeypatch):
