@@ -572,7 +572,8 @@ def _settling_lags(p: _Prepared, right: bool) -> dict[tuple, set[int]]:
     so r - l = d + b, and the flags bound r - l:
     - R, left closed: the left reads only $, so l = 0 <= r, and t follows
       epsilon arcs alone, so d + b >= 0 for a suffix lag b over epsilon arcs;
-    - R, right closed: r = 0 <= l, so d + b <= 0;
+    - R, right closed: r = 0 <= l, so d + b <= 0; and E >= 0, so d = -E <= 0
+      and prod is empty (see below): no letter is left to match an emission;
     - R, both closed: r = l = 0 (no configuration has these flags, as no
       pair letter is ($, $));
     - L: the words end together, and a side in its second phase reads a
@@ -590,13 +591,15 @@ def _settling_lags(p: _Prepared, right: bool) -> dict[tuple, set[int]]:
     """
     span = range(-p.bound, p.bound + 1)
     unbounded = set(span)
+    # where r <= l: under R the right word is closed, so also d <= 0
+    behind = range(-p.bound, 1) if right else span
     out: dict[tuple, set[int]] = {}
     for q, lags in p.suffix.items():
         # the b where the flags give r >= l: over epsilon arcs under R
         late = p.eps_suffix.get(q, set()) if right else lags
         out[q, False, False] = unbounded
         out[q, right, not right] = {d for d in span for b in late if d + b >= 0}  # r >= l
-        out[q, not right, right] = {d for d in span for b in lags if d + b <= 0}  # r <= l
+        out[q, not right, right] = {d for d in behind for b in lags if d + b <= 0}  # r <= l
         out[q, True, True] = {-b for b in late}  # r = l
     return out
 
@@ -651,11 +654,13 @@ def synchronize(t: Transducer, direction: str) -> PairAutomaton:
 
     Each side of the pair string has two phases.  A side enters its second
     phase at its first $ under R, or at its first letter under L, and after
-    that reads only that kind of symbol.  Beyond that, R allows no $ on the
-    right while emitted symbols wait for it, and no emission once the right
-    word is closed.  Only the letters a configuration can read are tried:
-    on the left $ (t stays put) or the input letter of an arc of t; on the
-    right $, the head of the emitted symbols, or any letter when none wait.
+    that reads only that kind of symbol (`phase`).  Only the letters a
+    configuration can read are tried: on the left $ (t stays put) or the
+    input letter of an arc of t; on the right $, the head of the emitted
+    symbols, or any letter when none wait.  The direction enters the search
+    only through `phase` and the settling sets: under R, a $ on the right
+    while emitted symbols wait, or an emission past the closed right word,
+    leaves a lag that `_settling_lags` refuses.
 
     The graph, built reversed, is minimized (`_minimal_dfa_of_reversal`): the
     result has one initial state, no epsilon arcs, at most one arc per
@@ -690,12 +695,10 @@ def synchronize(t: Transducer, direction: str) -> PairAutomaton:
         found = []
 
         def store(label, out, dst, prod, owed, fl, fr):
-            # emitted symbols settle the awaited queue first and the rest
-            # extends prod; under R nothing may be emitted past the closed
-            # right word
+            # emitted symbols settle the awaited queue first and the rest extends prod
             if out:
                 k = min(len(out), len(owed))
-                if out[:k] != owed[:k] or (right and fr and len(out) > k):
+                if out[:k] != owed[:k]:
                     return
                 prod, owed = prod + out[k:], owed[k:]
             # the lag check also caps both buffers (see `_settling_lags`)
@@ -713,13 +716,8 @@ def synchronize(t: Transducer, direction: str) -> PairAutomaton:
                 store(None, out, dst, prod, owed, fl, fr)
             else:
                 lefts.append((sym, out, dst, phase(fl, False)))
-        # the right letter is $, the head of prod, or any letter if prod is
-        # empty; under R no $ while prod is non-empty
-        if not prod:
-            rights = [PAD] + base
-        else:
-            rights = [prod[0]] if right else [PAD, prod[0]]
-        for y in rights:
+        # the right letter is $, the head of prod, or any letter if prod is empty
+        for y in [PAD, prod[0]] if prod else [PAD] + base:
             nfr = phase(fr, y == PAD)
             if nfr is None:
                 continue

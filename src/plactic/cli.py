@@ -28,8 +28,8 @@ from plactic.errors import NotInL, OutputError, ParseError, PlacticError, RankEr
 
 
 # the largest rank of the commands that build the column multipliers over
-# all 2^n - 1 columns: memory grows about 4x a rank (machines --rank 8 takes
-# about 31 s and 220 MB on 2 cores)
+# all 2^n - 1 columns: memory grows about 3-4x a rank (machines --rank 8
+# takes 2-13 s and 72-247 MB a generator, the most at gamma 2, on 2 cores)
 RANK_CAPS = {"machines": 8}
 
 

@@ -237,10 +237,11 @@ def verify_automata(cfg: Config) -> Report:
     append = automata.Transducer(
         sigma, sigma, {0, 1}, {0}, {1}, [(0, a, (a,), 0) for a in sigma] + [(0, None, (1,), 1)]
     )
-    bad = []
+    bad, synced = [], {}
     for t, name in ((copy, "copy"), (append, "append")):
         for direction in "RL":
             pa = automata.synchronize(t, direction)
+            synced[name, direction] = pa
             for u in words:
                 expect = {u} if name == "copy" else {u + (1,)}
                 for v in words:
@@ -270,11 +271,10 @@ def verify_automata(cfg: Config) -> Report:
     bad = mismatches(composed, lambda u: {u + (1,)})
     rep.check("composition matches set composition", len(words) ** 2, bad)
 
-    pa = automata.synchronize(append, "R")
     image = {automata.delta_r(u, u + (1,)) for u in words}
     bad = [
         s
-        for s in automata.enumerate_accepted(pa.nfa, 5)
+        for s in automata.enumerate_accepted(synced["append", "R"].nfa, 5)
         if s not in image
     ]
     rep.check("accepted pair strings are well-formed encodings", len(image), bad)
@@ -432,8 +432,8 @@ SUITES = {
 # the largest rank each suite runs at: the rewriting suite checks the critical
 # pairs of every rank up to the one given, yielded one at a time (623,010 at
 # rank 7), and the multipliers suite synchronizes every pair automaton of its
-# rank (all 32 at rank 7 over 6 cells: about 11–18 s on 2 cores, with peaks of
-# 110 MB in the first process and 102 MB in the worker)
+# rank (all 32 at rank 7 over 6 cells: about 12–13 s on 2 cores, with peaks of
+# 99 MB in the first process and 92 MB in the worker)
 RANK_CAPS = {"rewriting": 7, "multipliers": 7}
 
 

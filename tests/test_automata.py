@@ -404,6 +404,34 @@ def test_synchronize_derives_its_buffer_bound():
     assert not pa.accepts_pair(("b",), ("b", "a"))
 
 
+def test_synchronize_graphs_of_small_machines_are_pinned(monkeypatch):
+    # the (configurations, arcs) of the graph handed to minimization, R then
+    # L.  Under R a closed right word has nothing left to match, so the lag
+    # test refuses a produced letter past it; without that, machines with
+    # negative suffix lags keep dead configurations
+    graphs = []
+    minimal_dfa = automata._minimal_dfa_of_reversal
+
+    def record(r):
+        graphs.append((len(r.states), len(r.transitions)))
+        return minimal_dfa(r)
+
+    monkeypatch.setattr(automata, "_minimal_dfa_of_reversal", record)
+    expected = {
+        mixed_lag_machine: [(12, 20), (23, 57)],
+        rotate_machine: [(6, 14), (6, 14)],
+        drop_last_machine: [(2, 6), (9, 42)],
+        append_two_machine: [(13, 18), (19, 34)],
+        append_machine: [(6, 9), (10, 25)],
+    }
+    for machine, sizes in expected.items():
+        graphs.clear()
+        t = machine()
+        for direction in "RL":
+            synchronize(t, direction)
+        assert graphs == sizes, machine.__name__
+
+
 def test_synchronize_refuses_unbounded_lag():
     doubling = Transducer(("a",), ("a",), {0}, {0}, {0}, [(0, "a", ("a", "a"), 0)])
     for direction in "RL":
