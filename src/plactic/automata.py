@@ -43,7 +43,9 @@ class Nfa:
     """Nondeterministic finite automaton with epsilon moves (symbol None).
 
     Epsilon closures and successor maps are memoized per frontier set, so
-    `accepts`, `enumerate_accepted` and `determinized` share one cache.
+    `accepts`, `enumerate_accepted` and `determinized` share one cache; a
+    machine with no epsilon arcs, such as any DFA, closes a set as itself
+    and memoizes no closure.
     """
 
     def __init__(self, alphabet, states, initial, accepting, transitions):
@@ -70,6 +72,8 @@ class Nfa:
         self._moves_cache: dict[frozenset, dict[Symbol, frozenset]] = {}
 
     def closure(self, states: frozenset) -> frozenset:
+        if not self._eps:
+            return states
         cached = self._closure_cache.get(states)
         if cached is not None:
             return cached

@@ -262,6 +262,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         check_rank(args.rank)
+        # an empty --out would fall back to stdout, or to `Path('')`, the working directory
+        if getattr(args, "out", None) == "":
+            raise OutputError("--out must name a path, got an empty one")
         cap = RANK_CAPS.get(args.command)
         if cap is not None and args.rank > cap:
             raise RankError(f"{args.command} runs at --rank {cap} at most, got {args.rank}")

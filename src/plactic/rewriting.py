@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterator, Mapping, Optional
 
 from plactic.core import (
@@ -304,13 +305,20 @@ def rules_json(system: RewritingSystem) -> dict:
 
 
 def rules_text(system: RewritingSystem) -> Iterator[str]:
-    """The rule table as text, one line at a time: the rank, then one
-    `lhs -> rhs` line per rule in rule order."""
+    """The rule table as text: the rank, then one `lhs -> rhs` line per rule
+    in rule order.  The lines are yielded one block per run of consecutive
+    rules that share a left column, each block joined once."""
     label = _labels(system.rank, "c[{}]")
     name = label.__getitem__
     yield f"rank: {system.rank}\n"
-    for (a, b), rhs in system.rules.items():
-        yield f"{label[a]} {label[b]} -> {' '.join(map(name, rhs))}\n"
+    for a, group in groupby(system.rules.items(), key=lambda item: item[0][0]):
+        head = label[a] + " "
+        yield "".join([
+            f"{head}{label[b]} -> {label[rhs[0]]} {label[rhs[1]]}\n"
+            if len(rhs) == 2
+            else f"{head}{label[b]} -> {' '.join(map(name, rhs))}\n"
+            for (_, b), rhs in group
+        ])
 
 
 def gsb_export(system: RewritingSystem) -> dict:
@@ -337,20 +345,29 @@ def gsb_export(system: RewritingSystem) -> dict:
 
 
 def gsb_text(system: RewritingSystem) -> Iterator[str]:
-    """The binomial basis of the table as text, one line at a time: the
-    order, then one `lhs - rhs` binomial per rule in rule order (the empty
-    word is the monomial 1).
+    """The binomial basis of the table as text: the order, then one
+    `lhs - rhs` binomial line per rule in rule order (the empty word is the
+    monomial 1).  The lines are yielded one block per run of consecutive
+    rules that share a left column, each block joined once, with every label
+    and its `*`-prefixed form read from dicts built once per call.
 
     `check_termination` runs when this is called, so a table that fails it
     raises ViolationFound before any line is written.
     """
     check_termination(system)
     label = _labels(system.rank, "c[{}]")
+    starred = {c: "*" + text for c, text in label.items()}
     name = label.__getitem__
 
     def lines() -> Iterator[str]:
         yield ORDER_DESCRIPTION + "\n"
-        for (a, b), rhs in system.rules.items():
-            yield f"{label[a]}*{label[b]} - {'*'.join(map(name, rhs)) or '1'}\n"
+        for a, group in groupby(system.rules.items(), key=lambda item: item[0][0]):
+            head = label[a]
+            yield "".join([
+                f"{head}{starred[b]} - {label[rhs[0]]}{starred[rhs[1]]}\n"
+                if len(rhs) == 2
+                else f"{head}{starred[b]} - {'*'.join(map(name, rhs)) or '1'}\n"
+                for (_, b), rhs in group
+            ])
 
     return lines()

@@ -105,6 +105,14 @@ def test_nfa_epsilon_closure():
     assert not m.accepts(())
 
 
+def test_nfa_closure_without_epsilon_arcs_is_the_set_itself():
+    m = Nfa({"a"}, {0, 1}, {0}, {1}, [(0, "a", 1), (1, "a", 0)])
+    frontier = frozenset({0, 1})
+    assert m.closure(frontier) is frontier
+    assert m.accepts(("a", "a", "a"))
+    assert m._closure_cache == {}
+
+
 def test_nfa_validation():
     with pytest.raises(ValueError):
         Nfa({"a"}, {0}, {0}, {0}, [(0, "a", 1)])

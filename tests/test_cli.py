@@ -454,6 +454,20 @@ def test_unwritable_out(tmp_path, capsys, argv, target):
     assert f"cannot write {out}" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["rules", "--rank", "2"], ["gsb", "--rank", "2"], ["machines", "--rank", "2", "--gamma", "1"]],
+    ids=["rules", "gsb", "machines"],
+)
+def test_empty_out_is_refused(tmp_path, monkeypatch, capsys, argv):
+    # not stdout, and for machines not `Path('')`, the working directory
+    monkeypatch.chdir(tmp_path)
+    code, out_text, err = run(capsys, *argv, "--out", "")
+    assert_usage_error(code, out_text, err)
+    assert "--out" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["tableau"])  # missing --rank and word

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plactic import rewriting
 from plactic.core import column_ge, iter_columns, tableau_of_word
 from plactic.errors import ParseError, ResourceLimit, ViolationFound
 from plactic.rewriting import (
+    ORDER_DESCRIPTION,
     RewritingSystem,
     check_termination,
     column_key,
@@ -289,6 +291,32 @@ def test_rules_exports():
     assert {"lhs": ["2", "1"], "rhs": ["21"]} in data["rules"]
     text = "".join(rules_text(rs))
     assert "c[2] c[1] -> c[21]" in text
+
+
+def test_text_writers_match_one_line_per_rule(monkeypatch):
+    # the left column (3,) in two runs, split by a (2,) rule, with right sides
+    # of 0 to 3 columns; the lines written by the old one-line-per-rule f-strings
+    rules = {
+        ((3,), (1,)): ((3, 1),),
+        ((3,), (2, 1)): ((3, 1), (2,)),
+        ((2,), (1,)): ((2, 1),),
+        ((3,), (3,)): (),
+        ((3,), (2,)): ((3,), (2,), (1,)),
+    }
+    rs = RewritingSystem(3, rules)
+
+    def label(c):
+        return f"c[{''.join(map(str, c))}]"
+
+    assert "".join(rules_text(rs)) == "rank: 3\n" + "".join(
+        f"{label(a)} {label(b)} -> {' '.join(map(label, rhs))}\n" for (a, b), rhs in rules.items()
+    )
+    # a three-column right side fails the termination check that gsb_text
+    # runs first; the writer's lines are what this test is about
+    monkeypatch.setattr(rewriting, "check_termination", lambda system: len(system.rules))
+    assert "".join(gsb_text(rs)) == ORDER_DESCRIPTION + "\n" + "".join(
+        f"{label(a)}*{label(b)} - {'*'.join(map(label, rhs)) or '1'}\n" for (a, b), rhs in rules.items()
+    )
 
 
 @st.composite
