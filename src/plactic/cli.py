@@ -139,20 +139,12 @@ def cmd_machines(args) -> int:
                 (f"{name}.json", json.dumps(automata.transducer_to_json(machine), sort_keys=True, indent=2) + "\n")
             )
 
-    if gamma is None:
-        lifted = {side: multipliers.lifted_multiplier(rank, None, side) for side in ("right", "left")}
-    else:
-        columns = {
-            "right": multipliers.right_multiplier(rank, gamma),
-            "left": multipliers.left_multiplier(rank, gamma),
-        }
-        for side, machine in columns.items():
-            render_t(f"{side}_multiplier_col_{gamma}", machine)
-        lifted = {side: multipliers.lift(machine, rank) for side, machine in columns.items()}
+    column, lifted, pairs = multipliers.generator_machines(rank, gamma)
+    for side, machine in column.items():
+        render_t(f"{side}_multiplier_col_{gamma}", machine)
     for side, machine in lifted.items():
         render_t(f"{side}_multiplier_{gamma or 'eps'}", machine)
-    machines = multipliers.multiplier_pair_automata(rank, gamma, lifted=lifted)
-    for (side, direction), pa in sorted(machines.items()):
+    for (side, direction), pa in sorted(pairs.items()):
         name = f"pair_{side}_{direction}_{gamma or 'eps'}"
         if args.format == "dot":
             exports.append((f"{name}.dot", automata.pair_automaton_to_dot(pa, name)))

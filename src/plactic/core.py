@@ -8,6 +8,7 @@ states that every module searches with, lives here: they all import `core`.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -268,7 +269,10 @@ def knuth_relations(n: int) -> frozenset[tuple[Word, Word]]:
     return frozenset(rels)
 
 
+@functools.cache
 def _relation_map(n: int) -> dict[Word, tuple[Word, ...]]:
+    """The moves of the defining relations over 1..n, both ways, by left
+    side; built once per rank, and read only."""
     moves: dict[Word, list[Word]] = {}
     for left, right in knuth_relations(n):
         moves.setdefault(left, []).append(right)

@@ -13,11 +13,12 @@ arcs of a lift are the column multiplier's own.  Within a column the lift
 keys a state by what it can still do, the arcs whose column goes on past
 the letters read, so states that agree on that are one state.
 Synchronizing both padded encodings of the lift yields the four multiplier
-pair automata per generator.  The column multipliers are built from their
-reachable states by `automata._explore`: each construction gives only the
-arcs that leave a state.  They are trim: every carry state can read its
-last column again and every pend state has an epsilon arc to "final", so
-every state can also reach acceptance.
+pair automata per generator; `generator_machines` builds a generator's
+column multipliers, lifts and pair automata, each once.  The column
+multipliers are built from their reachable states by `automata._explore`:
+each construction gives only the arcs that leave a state.  They are trim:
+every carry state can read its last column again and every pend state has
+an epsilon arc to "final", so every state can also reach acceptance.
 
 A column multiplier reads every column of its rank, or only the `columns`
 it is given.  A word of L factors into a word of K only by its maximal
@@ -229,20 +230,30 @@ def lifted_multiplier(
     return lift(build(n, gamma, columns), n)
 
 
-def multiplier_pair_automata(
-    n: int, gamma: Optional[int], lifted: Optional[dict[str, Transducer]] = None
-) -> dict[tuple[str, str], PairAutomaton]:
+def generator_machines(
+    n: int, gamma: Optional[int]
+) -> tuple[dict[str, Transducer], dict[str, Transducer], dict[tuple[str, str], PairAutomaton]]:
+    """Every machine of one generator (None = empty generator), each built
+    once: `column` maps each side to its column multiplier ({} for the empty
+    generator), `lifted` each side to its lift (the identity on L for the
+    empty generator), and `pairs` each (side, padding direction) to the
+    pair automaton `synchronize` makes of that lift."""
+    if gamma is None:
+        column = {}
+        lifted = {side: identity_multiplier(n) for side in ("right", "left")}
+    else:
+        column = {"right": right_multiplier(n, gamma), "left": left_multiplier(n, gamma)}
+        lifted = {side: lift(t, n) for side, t in column.items()}
+    pairs = {
+        (side, direction): synchronize(t, direction) for side, t in lifted.items() for direction in ("R", "L")
+    }
+    return column, lifted, pairs
+
+
+def multiplier_pair_automata(n: int, gamma: Optional[int]) -> dict[tuple[str, str], PairAutomaton]:
     """The four padded multiplier automata for one generator: both sides,
-    both padding directions.  gamma=None gives the empty-generator identity.
-    `lifted` maps each side to its `lifted_multiplier(n, gamma, side)` when
-    the caller has built them already."""
-    if lifted is None:
-        lifted = {side: lifted_multiplier(n, gamma, side) for side in ("right", "left")}
-    out: dict[tuple[str, str], PairAutomaton] = {}
-    for side in ("right", "left"):
-        for direction in ("R", "L"):
-            out[(side, direction)] = synchronize(lifted[side], direction)
-    return out
+    both padding directions.  gamma=None gives the empty-generator identity."""
+    return generator_machines(n, gamma)[2]
 
 
 def general_multiplier(n: int, b, side: str = "right") -> Transducer:

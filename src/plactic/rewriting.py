@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Iterator, Mapping, Optional
 
 from plactic.core import (
@@ -306,17 +306,26 @@ def rules_json(system: RewritingSystem) -> dict:
 
 def rules_text(system: RewritingSystem) -> Iterator[str]:
     """The rule table as text: the rank, then one `lhs -> rhs` line per rule
-    in rule order.  The lines are yielded one block per run of consecutive
-    rules that share a left column, each block joined once."""
-    label = _labels(system.rank, "c[{}]")
-    name = label.__getitem__
+    in rule order, yielded as `_blocks` does."""
     yield f"rank: {system.rank}\n"
+    yield from _blocks(system, " ", " -> ", "")
+
+
+def _blocks(system: RewritingSystem, sep: str, arrow: str, empty: str) -> Iterator[str]:
+    """One `lhs{arrow}rhs` line per rule in rule order, the columns of a side
+    joined by sep and an empty side written as `empty`.  The lines are
+    yielded one block per run of consecutive rules that share a left column,
+    each block joined once, with every label and its sep-prefixed form read
+    from dicts built once per call."""
+    label = _labels(system.rank, "c[{}]")
+    tail = {c: sep + text for c, text in label.items()}
+    name = label.__getitem__
     for a, group in groupby(system.rules.items(), key=lambda item: item[0][0]):
-        head = label[a] + " "
+        head = label[a]
         yield "".join([
-            f"{head}{label[b]} -> {label[rhs[0]]} {label[rhs[1]]}\n"
+            f"{head}{tail[b]}{arrow}{label[rhs[0]]}{tail[rhs[1]]}\n"
             if len(rhs) == 2
-            else f"{head}{label[b]} -> {' '.join(map(name, rhs))}\n"
+            else f"{head}{tail[b]}{arrow}{sep.join(map(name, rhs)) or empty}\n"
             for (_, b), rhs in group
         ])
 
@@ -347,27 +356,10 @@ def gsb_export(system: RewritingSystem) -> dict:
 def gsb_text(system: RewritingSystem) -> Iterator[str]:
     """The binomial basis of the table as text: the order, then one
     `lhs - rhs` binomial line per rule in rule order (the empty word is the
-    monomial 1).  The lines are yielded one block per run of consecutive
-    rules that share a left column, each block joined once, with every label
-    and its `*`-prefixed form read from dicts built once per call.
+    monomial 1), yielded as `_blocks` does.
 
     `check_termination` runs when this is called, so a table that fails it
     raises ViolationFound before any line is written.
     """
     check_termination(system)
-    label = _labels(system.rank, "c[{}]")
-    starred = {c: "*" + text for c, text in label.items()}
-    name = label.__getitem__
-
-    def lines() -> Iterator[str]:
-        yield ORDER_DESCRIPTION + "\n"
-        for a, group in groupby(system.rules.items(), key=lambda item: item[0][0]):
-            head = label[a]
-            yield "".join([
-                f"{head}{starred[b]} - {label[rhs[0]]}{starred[rhs[1]]}\n"
-                if len(rhs) == 2
-                else f"{head}{starred[b]} - {'*'.join(map(name, rhs)) or '1'}\n"
-                for (_, b), rhs in group
-            ])
-
-    return lines()
+    return chain((ORDER_DESCRIPTION + "\n",), _blocks(system, "*", " - ", "1"))

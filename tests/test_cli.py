@@ -809,7 +809,7 @@ class Unpicklable(PlacticError):
 ])
 def test_the_earliest_exception_in_suite_order_wins(capsys, monkeypatch, raising):
     # a suite name replaces the suite; a generator (None for eps) raises
-    # when the multipliers suite builds its pair automata
+    # when the multipliers suite builds its machines
     generators = {}
     for name, exc in raising.items():
         def suite(cfg, exc=exc):
@@ -819,14 +819,14 @@ def test_the_earliest_exception_in_suite_order_wins(capsys, monkeypatch, raising
             monkeypatch.setitem(verify.SUITES, name, suite)
         else:
             generators[name] = exc
-    real = multipliers.multiplier_pair_automata
+    real = multipliers.generator_machines
 
-    def pair_automata(n, gamma, lifted=None):
+    def machines(n, gamma):
         if gamma in generators:
             raise generators[gamma]
-        return real(n, gamma, lifted)
+        return real(n, gamma)
 
-    monkeypatch.setattr(multipliers, "multiplier_pair_automata", pair_automata)
+    monkeypatch.setattr(multipliers, "generator_machines", machines)
     (serial, _), (split, forks) = run_in_one_and_two_processes(capsys, monkeypatch, "verify", "all")
     assert forks == 1
     assert serial == split

@@ -16,8 +16,10 @@ from plactic.automata import (
     delta_r,
     enumerate_accepted,
     nfa_to_json,
+    synchronize,
     transducer_images,
     transducer_outputs,
+    transducer_to_json,
     trim,
 )
 from plactic.core import column_ge, column_runs, iter_columns, iter_tableaux, tableau_of_word
@@ -26,6 +28,7 @@ from plactic.multipliers import (
     build_k_acceptor,
     build_l_acceptor,
     general_multiplier,
+    generator_machines,
     left_multiplier,
     lift,
     lifted_multiplier,
@@ -366,23 +369,23 @@ def test_verify_reports_a_broken_pair_automaton(monkeypatch):
     # one accepting state of the rank-3 right R machine for gamma = 2 made
     # non-accepting: verify must report it with the count and the first
     # witness of the per-pair sweep
-    real = multiplier_pair_automata
+    real = generator_machines
     key = ("right", "R")
 
-    def broken(n, gamma, lifted=None):
-        machines = real(n, gamma, lifted)
+    def broken(n, gamma):
+        column, lifted, machines = real(n, gamma)
         if gamma == 2:
             a = machines[key].nfa
             accepting = a.accepting - {min(a.accepting)}
             nfa = Nfa(a.alphabet, a.states, a.initial, accepting, a.transitions)
             machines[key] = PairAutomaton(nfa, "R")
-        return machines
+        return column, lifted, machines
 
-    monkeypatch.setattr(verify.multipliers, "multiplier_pair_automata", broken)
+    monkeypatch.setattr(verify.multipliers, "generator_machines", broken)
     rep = verify.verify_multipliers(verify.Config())
 
     words = l_words(3, 6)
-    pa = broken(3, 2)[key]
+    pa = broken(3, 2)[2][key]
     witnesses = [
         ("right", "R", 2, u, v)
         for u in words
@@ -393,6 +396,58 @@ def test_verify_reports_a_broken_pair_automaton(monkeypatch):
     label = "pair automata agree with the product oracle"
     assert f"FAIL {label}: {len(witnesses)}/1073296 items failed" in rep.lines
     assert rep.failures == [f"{label}: {len(witnesses)} failures, first: {witnesses[0]!r}"]
+
+
+def test_verify_reports_the_first_column_witness_by_k_word(monkeypatch):
+    # the rank-3 column machines of gamma = 2 each miss one column: the right
+    # one (3, 2, 1), first met at the 228th K-word, the left one (2, 1), first
+    # met at the 85th; so the first witness, by K-word u and right before
+    # left, is a left one, where a sweep of one side after the other would
+    # name a right one first
+    missing = {"right": (3, 2, 1), "left": (2, 1)}
+
+    def planted(side, build):
+        def machine(n, gamma, columns=None):
+            if gamma == 2 and columns is None:
+                columns = [c for c in iter_columns(n) if c != missing[side]]
+            return build(n, gamma, columns)
+
+        return machine
+
+    monkeypatch.setattr(verify.multipliers, "right_multiplier", planted("right", right_multiplier))
+    monkeypatch.setattr(verify.multipliers, "left_multiplier", planted("left", left_multiplier))
+    rep = verify.verify_multipliers(verify.Config())
+
+    kwords = [t.columns for t in iter_tableaux(3, 6)]
+    witnesses = [(side, 2, u) for u in kwords for side in ("right", "left") if missing[side] in u]
+    side_major = [(side, 2, u) for side in ("right", "left") for u in kwords if missing[side] in u]
+    assert witnesses[0][0] == "left" and side_major[0][0] == "right"
+    label = "column multipliers match normalization"
+    assert f"FAIL {label}: {len(witnesses)}/{2 * 3 * len(kwords)} items failed" in rep.lines
+    assert rep.failures[0] == f"{label}: {len(witnesses)} failures, first: {witnesses[0]!r}"
+
+
+def test_generator_machines_match_the_per_side_path():
+    # the one builder of a generator's machines gives, by export, the column
+    # multipliers, the lifts `multiply` builds one side at a time, and the
+    # pair automata synchronized from those lifts
+    for rank in (2, 3, 4):
+        for gamma in (None, *range(1, rank + 1)):
+            column, lifted, pairs = generator_machines(rank, gamma)
+            if gamma is None:
+                assert column == {}
+            else:
+                assert transducer_to_json(column["right"]) == transducer_to_json(right_multiplier(rank, gamma))
+                assert transducer_to_json(column["left"]) == transducer_to_json(left_multiplier(rank, gamma))
+            assert list(lifted) == ["right", "left"]
+            assert list(pairs) == [(side, d) for side in ("right", "left") for d in ("R", "L")]
+            for side in ("right", "left"):
+                alone = lifted_multiplier(rank, gamma, side)
+                assert transducer_to_json(lifted[side]) == transducer_to_json(alone), (rank, gamma, side)
+                for direction in ("R", "L"):
+                    pa = synchronize(alone, direction)
+                    assert pairs[side, direction].direction == direction
+                    assert nfa_to_json(pairs[side, direction].nfa) == nfa_to_json(pa.nfa), (rank, gamma, side)
 
 
 def test_epsilon_pair_automata_are_identity_on_l():
