@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plactic import automata
+from plactic import automata, verify
 from plactic.automata import (
     PAD,
     Nfa,
@@ -589,3 +589,90 @@ def test_synchronize_keeps_the_relation_of_mergeable_machines():
         graph = {(u, v) for u in words for v in transducer_outputs(t, u) if v in words}
         for direction in "RL":
             assert synchronize(t, direction).accepted_pairs(words) == graph, direction
+
+
+MEMBERSHIP = "synchronization agrees with relation membership"
+
+
+def broken_append_sync(monkeypatch, fault):
+    # the `append` pair DFAs of `verify automata`, both directions, passed
+    # through fault; its `copy` machines stay as built
+    real = synchronize
+
+    def broken(t, direction):
+        pa = real(t, direction)
+        return fault(pa) if t.accepting == {1} else pa
+
+    monkeypatch.setattr(automata, "synchronize", broken)
+    return broken
+
+
+def per_pair_witnesses(sync):
+    # the failures of the one-pair sweep over every pair of words, in the
+    # order of the `verify automata` report
+    sigma = (1, 2, 3)
+    words = words_over(sigma, 4)
+    copy = Transducer(sigma, sigma, {0}, {0}, {0}, [(0, a, (a,), 0) for a in sigma])
+    append = Transducer(sigma, sigma, {0, 1}, {0}, {1},
+                        [(0, a, (a,), 0) for a in sigma] + [(0, None, (1,), 1)])
+    witnesses = []
+    for t, name, tail in ((copy, "copy", ()), (append, "append", (1,))):
+        for direction in "RL":
+            pa = sync(t, direction)
+            witnesses += [(name, direction, u, v) for u in words for v in words
+                          if pa.accepts_pair(u, v) != (v == u + tail)]
+    return witnesses
+
+
+def drop_first_accepting(pa):
+    return mutate(pa, accepting=pa.nfa.accepting - {min(pa.nfa.accepting)})
+
+
+def redirect_first_arc(pa):
+    # the first arc by repr now leads to the next state round, so the DFA
+    # keeps one arc per (state, letter)
+    src, sym, dst = arc = sorted(pa.nfa.transitions, key=repr)[0]
+    moved = (src, sym, (dst + 1) % len(pa.nfa.states))
+    return mutate(pa, transitions=set(pa.nfa.transitions) - {arc} | {moved})
+
+
+@pytest.mark.parametrize("fault", [drop_first_accepting, redirect_first_arc])
+def test_verify_automata_reports_a_broken_pair_automaton(monkeypatch, fault):
+    # the trie walk and its cross-check report the count and the first
+    # witness of the per-pair sweep of accepts_pair
+    sync = broken_append_sync(monkeypatch, fault)
+    rep = verify.verify_automata(verify.Config())
+    witnesses = per_pair_witnesses(sync)
+    assert witnesses
+    assert f"FAIL {MEMBERSHIP}: {len(witnesses)}/58564 items failed" in rep.lines
+    assert f"{MEMBERSHIP}: {len(witnesses)} failures, first: {witnesses[0]!r}" in rep.failures
+
+
+def test_verify_automata_cross_checks_accepts_pair(monkeypatch):
+    # accepts_pair rejects one pair of the L append graph while the trie walk
+    # stays right: the cross-check alone names it
+    real = PairAutomaton.accepts_pair
+    planted = ((2,), (2, 1))
+
+    def rejecting(self, u, v):
+        return False if self.direction == "L" and (u, v) == planted else real(self, u, v)
+
+    monkeypatch.setattr(PairAutomaton, "accepts_pair", rejecting)
+    rep = verify.verify_automata(verify.Config())
+    assert f"FAIL {MEMBERSHIP}: 1/58564 items failed" in rep.lines
+    assert rep.failures == [f"{MEMBERSHIP}: 1 failures, first: {('append', 'L', *planted)!r}"]
+
+
+def test_verify_automata_checks_the_walk_against_the_graph(monkeypatch):
+    # accepted_pairs adds one pair outside every graph on the L machines
+    # while accepts_pair stays right: the walk's answer is checked as well
+    real = PairAutomaton.accepted_pairs
+    planted = ((2,), (3,))
+
+    def widened(self, words):
+        return real(self, words) | ({planted} if self.direction == "L" else set())
+
+    monkeypatch.setattr(PairAutomaton, "accepted_pairs", widened)
+    rep = verify.verify_automata(verify.Config())
+    assert f"FAIL {MEMBERSHIP}: 2/58564 items failed" in rep.lines
+    assert rep.failures == [f"{MEMBERSHIP}: 2 failures, first: {('copy', 'L', *planted)!r}"]
