@@ -42,10 +42,9 @@ State = Hashable
 class Nfa:
     """Nondeterministic finite automaton with epsilon moves (symbol None).
 
-    Epsilon closures and successor maps are memoized per frontier set, so
-    `accepts`, `enumerate_accepted` and `determinized` share one cache; a
-    machine with no epsilon arcs, such as any DFA, closes a set as itself
-    and memoizes no closure.
+    Only successor maps are memoized, per frontier set, so `accepts`,
+    `enumerate_accepted` and `determinized` share one cache; a machine with
+    no epsilon arcs, such as any DFA, closes a set as itself.
     """
 
     def __init__(self, alphabet, states, initial, accepting, transitions):
@@ -68,21 +67,12 @@ class Nfa:
                 if sym not in self.alphabet:
                     raise ValueError(f"undeclared symbol {sym!r}")
                 self._step.setdefault(src, {}).setdefault(sym, []).append(dst)
-        self._closure_cache: dict[frozenset, frozenset] = {}
         self._moves_cache: dict[frozenset, dict[Symbol, frozenset]] = {}
 
     def closure(self, states: frozenset) -> frozenset:
         if not self._eps:
             return states
-        cached = self._closure_cache.get(states)
-        if cached is not None:
-            return cached
-        result = frozenset(_sweep(states, lambda q: self._eps.get(q, ())))
-        self._closure_cache[states] = result
-        return result
-
-    def start_set(self) -> frozenset:
-        return self.closure(self.initial)
+        return frozenset(_sweep(states, lambda q: self._eps.get(q, ())))
 
     def moves(self, frontier: frozenset) -> dict[Symbol, frozenset]:
         """The closed successor set of frontier on each letter that leads
@@ -96,7 +86,7 @@ class Nfa:
         return self._moves_cache[frontier]
 
     def accepts(self, word: Sequence[Symbol]) -> bool:
-        cur = self.start_set()
+        cur = self.closure(self.initial)
         for sym in word:
             cur = self.moves(cur).get(sym)
             if cur is None:
@@ -109,7 +99,7 @@ class Nfa:
                    [(dst, sym, src) for src, sym, dst in self.transitions])
 
     def determinized(self) -> Nfa:
-        """The accessible subset construction from `start_set()`: one
+        """The accessible subset construction from `closure(initial)`: one
         `_explore` walk over the repr-sorted letters, its subsets numbered
         0..n-1 in the order found, so breadth-first from the initial state 0.
         A letter that leads nowhere gets no arc, so no arc leads to the empty
@@ -120,7 +110,7 @@ class Nfa:
             out = self.moves(subset)
             return [(subset, sym, out[sym]) for sym in letters if sym in out]
 
-        subsets, found = _explore([self.start_set()], arcs)
+        subsets, found = _explore([self.closure(self.initial)], arcs)
         index = {subset: i for i, subset in enumerate(subsets)}
         accepting = {i for subset, i in index.items() if not subset.isdisjoint(self.accepting)}
         return Nfa(self.alphabet, index.values(), {0}, accepting,
@@ -142,7 +132,7 @@ def enumerate_accepted(a: Nfa, max_len: int) -> Iterator[tuple]:
             if sym in moves:
                 yield from walk(moves[sym], prefix + (sym,))
 
-    yield from walk(a.start_set(), ())
+    yield from walk(a.closure(a.initial), ())
 
 
 class Transducer:

@@ -427,13 +427,16 @@ SUITES = {
 }
 
 
-# the largest rank each suite runs at: the rewriting suite checks the critical
-# pairs of every rank up to the one given, yielded one at a time (623,010 at
-# rank 7), and the multipliers suite synchronizes every pair automaton of its
-# rank (all 32 at rank 7 over 6 cells: 17.4 s wall and a 79 MB peak over both
-# processes, one run of `verify --rank 7 multipliers` on a shared 2-core Linux
-# machine under Python 3.11.7, 2026-10-22)
-RANK_CAPS = {"rewriting": 7, "multipliers": 7}
+# the largest rank each suite runs at: the core suite orders all (2^n-1)^3
+# triples of columns, about 8x the work per rank (`verify --rank 11 --max-len
+# 1 core` 11.1 s and 97.0 MB, rank 12 75.8 s and 289.5 MB), the rewriting
+# suite checks the critical pairs of every rank up to the one given, yielded
+# one at a time (623,010 at rank 7), and the multipliers suite synchronizes
+# every pair automaton of its rank (all 32 at rank 7 over 6 cells: 17.4 s wall
+# and a 79 MB peak over both processes, one run of `verify --rank 7
+# multipliers`); each figure is one run on a shared 2-core Linux machine under
+# Python 3.11.7, 2026-10-22
+RANK_CAPS = {"core": 11, "rewriting": 7, "multipliers": 7}
 
 
 # the suites that sweep every word up to --max-len letters

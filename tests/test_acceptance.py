@@ -212,12 +212,10 @@ def test_criterion_09_biautomaticity_witness():
 
 def test_criterion_10_encoder_duality():
     with Budget("criterion 10: the two encodings are mirror images", 5.0):
-        words = oracles.all_words(3, 6)
-        reverses = {w: tuple(reversed(w)) for w in words}
-        for u in words:
-            ru = reverses[u]
-            for v in words:
-                assert tuple(reversed(delta_r(u, v))) == delta_l(ru, reverses[v])
+        pairs = [(w, w[::-1]) for w in oracles.all_words(3, 6)]
+        for u, ru in pairs:
+            for v, rv in pairs:
+                assert delta_r(u, v)[::-1] == delta_l(ru, rv)
 
 
 def test_criterion_11_change_of_generators():

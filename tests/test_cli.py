@@ -316,7 +316,8 @@ def test_verify_core_rank2(capsys):
 
 
 @pytest.mark.parametrize(
-    "suite, rank, cap", [("multipliers", 8, 7), ("rewriting", 8, 7), ("all", 8, 7)]
+    "suite, rank, cap",
+    [("multipliers", 8, 7), ("rewriting", 8, 7), ("core", 12, 11), ("all", 8, 7)],
 )
 def test_verify_refuses_a_rank_above_a_suite_cap(capsys, suite, rank, cap):
     code, out, err = run(capsys, "verify", "--rank", str(rank), "--max-len", "1", suite)

@@ -615,7 +615,7 @@ def test_synchronize_builds_few_dead_configurations(monkeypatch):
 
     def record(r):
         built.append(len(r.states))
-        live.append(len(automata._sweep(r.start_set(), lambda q: set().union(*r.moves(frozenset({q})).values()))))
+        live.append(len(automata._sweep(r.closure(r.initial), lambda q: set().union(*r.moves(frozenset({q})).values()))))
         return minimal_dfa(r)
 
     monkeypatch.setattr(automata, "_minimal_dfa_of_reversal", record)
